@@ -948,11 +948,8 @@ def _cmd_verify(args) -> int:
     import json as _json
 
     from repro.errors import VerifyError
-    from repro.trs.engine import Rewriter
-    from repro.trs.rules import RuleContext
-    from repro.verify import (IndependenceRelation, certify, check_verdict,
-                              get_system, validate_dpor, validate_relation,
-                              write_verdict)
+    from repro.verify import (certify_sizes, check_verdicts, explore_size,
+                              get_system, resolve_property, write_verdict)
 
     quiet = args.json
 
@@ -961,20 +958,17 @@ def _cmd_verify(args) -> int:
             print(msg)
 
     if args.check:
-        reports = []
-        failed = False
-        for path in args.check:
-            try:
-                reports.append(check_verdict(path, recompute=args.recompute))
-                say(f"{path}: signature ok"
+        reports = check_verdicts(args.check, recompute=args.recompute)
+        for entry in reports:
+            if "error" in entry:
+                print(f"{entry['path']}: FAILED: {entry['error']}",
+                      file=sys.stderr)
+            else:
+                say(f"{entry['path']}: signature ok"
                     + (", recomputation ok" if args.recompute else ""))
-            except (VerifyError, OSError) as exc:
-                failed = True
-                reports.append({"path": path, "error": str(exc)})
-                print(f"{path}: FAILED: {exc}", file=sys.stderr)
         if args.json:
             print(_json.dumps(reports, indent=2, sort_keys=True))
-        return 1 if failed else 0
+        return 1 if any("error" in entry for entry in reports) else 0
 
     try:
         system = get_system(args.system)
@@ -983,27 +977,40 @@ def _cmd_verify(args) -> int:
         return 2
     prop_names = args.properties or list(system.properties)
 
-    report = {"system": system.key, "title": system.title}
+    # Resolve every property before exploring: one that cannot be
+    # certified keeps its own error entry, in the requested order.
+    resolved = []
+    for prop_name in prop_names:
+        try:
+            resolved.append(resolve_property(system, prop_name))
+        except VerifyError as exc:
+            resolved.append(str(exc))
+    props = [p for p in resolved if not isinstance(p, str)]
+    if props:
+        say(f"{system.title}: certifying "
+            f"{', '.join(p.name for p in props)}:")
+    certified, runs = certify_sizes(system, props,
+                                    max_states=args.max_states, log=say)
+
+    # The self-check reads the default_n run when certification made one.
     n = system.default_n
-    rules = system.bounded(n)
-    initial = system.initial(n)
-    rewriter = Rewriter(rules, RuleContext())
-    relation = IndependenceRelation(rules)
-    report["independence"] = relation.summary()
+    run = runs.get(n)
+    if run is None or run.max_states != args.max_states:
+        run = explore_size(system, n, [], args.max_states)
+    violations = run.diamond_violations
+    report = {"system": system.key, "title": system.title,
+              "independence": run.relation,
+              "diamond": {"checks": run.diamond_checks,
+                          "violations": len(violations)},
+              "dpor_self_check": run.dpor}
     say(f"{system.title}: independence relation "
         f"{report['independence']}")
-
-    violations, checks = validate_relation(rewriter, relation, initial)
-    report["diamond"] = {"checks": checks, "violations": len(violations)}
-    say(f"  diamond validation: {checks} commutation checks, "
+    say(f"  diamond validation: {run.diamond_checks} commutation checks, "
         f"{len(violations)} violation(s)")
     for violation in violations[:5]:
         print(f"    {violation['rule_a']} vs {violation['rule_b']}: "
               f"{violation['reason']}", file=sys.stderr)
-
-    dpor = validate_dpor(rewriter, initial, max_states=args.max_states,
-                         relation=relation)
-    report["dpor_self_check"] = dpor
+    dpor = run.dpor
     say(f"  sleep DPOR at n={n}: {dpor['dpor_states']} states / "
         f"{dpor['dpor_executed']} executed vs full "
         f"{dpor['full_states']} / {dpor['full_transitions']} "
@@ -1011,16 +1018,14 @@ def _cmd_verify(args) -> int:
 
     verdicts = []
     failed = bool(violations) or not dpor["exact"]
-    for prop_name in prop_names:
-        try:
-            say(f"  certifying {prop_name!r}:")
-            verdict = certify(system.key, prop_name,
-                              max_states=args.max_states, log=say)
-        except VerifyError as exc:
+    fresh = iter(certified)
+    for prop_name, prop in zip(prop_names, resolved):
+        if isinstance(prop, str):
             failed = True
-            verdicts.append({"property": prop_name, "error": str(exc)})
-            print(f"  {prop_name}: FAILED: {exc}", file=sys.stderr)
+            verdicts.append({"property": prop_name, "error": prop})
+            print(f"  {prop_name}: FAILED: {prop}", file=sys.stderr)
             continue
+        verdict = next(fresh)
         verdicts.append(verdict)
         if verdict["result"] != "verified":
             failed = True

@@ -15,9 +15,13 @@ The verification subsystem behind ``repro verify``:
 """
 
 from repro.verify.cutoff import (CUTOFFS, PROPERTIES, SCHEMA, TOPOLOGY,
-                                 certify, check_verdict, load_verdict, sign,
-                                 verify_signature, write_verdict)
-from repro.verify.dpor import DporResult, explore_dpor, validate_dpor
+                                 SizeRun, certify, certify_sizes,
+                                 certify_system, check_verdict,
+                                 check_verdicts, explore_size, load_verdict,
+                                 resolve_property, sign, verify_signature,
+                                 write_verdict)
+from repro.verify.dpor import (DporResult, exactness_report, explore_dpor,
+                               validate_dpor)
 from repro.verify.footprint import (BagFootprint, RuleFootprint,
                                     ScalarFootprint, footprint_of, footprints)
 from repro.verify.independence import (IndependenceRelation,
@@ -27,9 +31,10 @@ from repro.verify.systems import SYSTEMS, VerifySystem, get_system, system_names
 
 __all__ = [
     "SCHEMA", "TOPOLOGY", "CUTOFFS", "PROPERTIES",
-    "certify", "check_verdict", "load_verdict", "write_verdict",
-    "sign", "verify_signature",
-    "DporResult", "explore_dpor", "validate_dpor",
+    "certify", "certify_system", "certify_sizes", "explore_size", "SizeRun",
+    "resolve_property", "check_verdict", "check_verdicts", "load_verdict",
+    "write_verdict", "sign", "verify_signature",
+    "DporResult", "explore_dpor", "exactness_report", "validate_dpor",
     "BagFootprint", "ScalarFootprint", "RuleFootprint",
     "footprint_of", "footprints",
     "IndependenceRelation", "InstanceFootprint", "instance_footprint",

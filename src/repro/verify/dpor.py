@@ -33,13 +33,13 @@ from collections import deque
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.errors import VerifyError
-from repro.specs.modelcheck import explore_graph
+from repro.specs.modelcheck import GraphResult, explore_graph
 from repro.trs.engine import Rewriter
 from repro.trs.terms import Term
 from repro.verify.independence import (IndependenceRelation, InstanceFootprint,
                                        instance_footprint)
 
-__all__ = ["DporResult", "explore_dpor", "validate_dpor"]
+__all__ = ["DporResult", "explore_dpor", "exactness_report", "validate_dpor"]
 
 _MODES = ("sleep", "persistent")
 
@@ -168,20 +168,11 @@ def explore_dpor(
     return DporResult(mode, len(seen), executed, complete, frozenset(seen))
 
 
-def validate_dpor(
-    rewriter: Rewriter,
-    initial: Term,
-    max_states: int = 1_000_000,
-    relation: Optional[IndependenceRelation] = None,
-) -> Dict[str, Any]:
-    """Self-check: sleep-set DPOR must visit *exactly* the reachable states.
-
-    Runs full exploration and sleep-mode DPOR side by side and compares
-    the state sets.  Returns a report dict; ``report["exact"]`` is the
-    verdict, with missing/extra counts for diagnosis when it fails."""
-    graph = explore_graph(rewriter, initial, max_states=max_states)
-    reduced = explore_dpor(rewriter, initial, mode="sleep",
-                           max_states=max_states, relation=relation)
+def exactness_report(graph: GraphResult,
+                     reduced: DporResult) -> Dict[str, Any]:
+    """Compare a full exploration with a sleep-mode DPOR run of the same
+    system.  ``report["exact"]`` holds when both are complete and visit
+    the same states; missing/extra counts are there for diagnosis."""
     full_set = frozenset(graph.states)
     missing = full_set - reduced.state_set
     extra = reduced.state_set - full_set
@@ -197,3 +188,19 @@ def validate_dpor(
         "missing": len(missing),
         "extra": len(extra),
     }
+
+
+def validate_dpor(
+    rewriter: Rewriter,
+    initial: Term,
+    max_states: int = 1_000_000,
+    relation: Optional[IndependenceRelation] = None,
+) -> Dict[str, Any]:
+    """Self-check: sleep-set DPOR must visit *exactly* the reachable states.
+
+    Runs full exploration and sleep-mode DPOR side by side and returns
+    their :func:`exactness_report`."""
+    graph = explore_graph(rewriter, initial, max_states=max_states)
+    reduced = explore_dpor(rewriter, initial, mode="sleep",
+                           max_states=max_states, relation=relation)
+    return exactness_report(graph, reduced)

@@ -308,6 +308,7 @@ def enumerate_instances(rewriter: Rewriter, relation: IndependenceRelation,
 
 def check_commutation(
     rewriter: Rewriter,
+    relation: IndependenceRelation,
     state: Term,
     ia: InstanceFootprint,
     ib: InstanceFootprint,
@@ -321,7 +322,7 @@ def check_commutation(
 
     def fire(src: Term, inst: InstanceFootprint) -> Optional[Term]:
         rule = rewriter.ruleset[inst.rule_name]
-        fp = _relation_fp(rewriter, inst.rule_name)
+        fp = relation.footprints[inst.rule_name]
         for binding in rule.instantiations(src, rewriter.ctx):
             if instance_footprint(fp, binding).key == inst.key:
                 return rewriter.apply(src, rule, binding)
@@ -343,17 +344,6 @@ def check_commutation(
         return (f"orders diverge: {ia.rule_name};{ib.rule_name} and "
                 f"{ib.rule_name};{ia.rule_name} reach different states")
     return None
-
-
-_FP_CACHE: Dict[int, Dict[str, RuleFootprint]] = {}
-
-
-def _relation_fp(rewriter: Rewriter, rule_name: str) -> RuleFootprint:
-    cache = _FP_CACHE.get(id(rewriter.ruleset))
-    if cache is None:
-        cache = footprints(rewriter.ruleset)
-        _FP_CACHE[id(rewriter.ruleset)] = cache
-    return cache[rule_name]
 
 
 def _sample_states(rewriter: Rewriter, initial: Term,
@@ -395,7 +385,8 @@ def validate_relation(
                 if checks >= max_checks:
                     return violations, checks
                 checks += 1
-                failure = check_commutation(rewriter, state, ia, ib)
+                failure = check_commutation(rewriter, relation, state, ia,
+                                            ib)
                 if failure is not None:
                     violations.append({
                         "rule_a": ia.rule_name,

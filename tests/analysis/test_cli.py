@@ -95,7 +95,30 @@ class TestReport:
         assert "wrote" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def bench_doc():
+    """One ``bench.collect(rounds=2)`` shared by the tests that run the
+    whole suite through the CLI."""
+    from repro.analysis import bench
+
+    return bench.collect(rounds=2)
+
+
+@pytest.fixture
+def memo_collect(bench_doc, monkeypatch):
+    import copy
+
+    from repro.analysis import bench
+
+    def collect(rounds=40, trace_memory=False):
+        assert (rounds, trace_memory) == (2, False)
+        return copy.deepcopy(bench_doc)
+
+    monkeypatch.setattr(bench, "collect", collect)
+
+
 class TestBench:
+    @pytest.mark.usefixtures("memo_collect")
     def test_bench_writes_and_validates_baseline(self, tmp_path, capsys):
         assert main(["bench", "--rounds", "2", "--out", str(tmp_path)]) == 0
         baselines = list(tmp_path.glob("BENCH_*.json"))
@@ -106,6 +129,7 @@ class TestBench:
         assert main(["bench", "--validate", str(baselines[0])]) == 0
         assert "valid" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("memo_collect")
     def test_bench_json_mode(self, tmp_path, capsys):
         import json
 

@@ -8,8 +8,10 @@ import os
 import pytest
 
 from repro.errors import VerifyError
+from repro.verify import cutoff
 from repro.verify.cutoff import (CUTOFFS, SCHEMA, TOPOLOGY, certify,
-                                 check_verdict, load_verdict, sign,
+                                 certify_system, check_verdict,
+                                 check_verdicts, load_verdict, sign,
                                  verify_signature, write_verdict)
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
@@ -71,6 +73,37 @@ class TestCertify:
             certify("token", "token-uniqueness")
 
 
+def _signed_body(verdict):
+    return {k: v for k, v in verdict.items() if k != "created_utc"}
+
+
+class TestCertifySystem:
+    def test_one_pass_per_size_for_all_properties(self, monkeypatch):
+        explored = []
+        real = cutoff.explore_graph
+
+        def counting(rewriter, initial, max_states):
+            graph = real(rewriter, initial, max_states=max_states)
+            explored.append(len(graph.states))
+            return graph
+
+        monkeypatch.setattr(cutoff, "explore_graph", counting)
+        names = ["prefix-property", "token-uniqueness"]
+        together = certify_system("message_passing", names)
+        assert explored == [20, 32, 44]  # n = 2, 3, 4, once each
+        monkeypatch.undo()
+        for name, verdict in zip(names, together):
+            assert verdict["property"] == name
+            alone = certify("message_passing", name)
+            assert _signed_body(verdict) == _signed_body(alone)
+
+    def test_errors_raise_before_exploring(self, monkeypatch):
+        monkeypatch.setattr(cutoff, "explore_graph", None)
+        with pytest.raises(VerifyError, match="unknown property"):
+            certify_system("message_passing",
+                           ["prefix-property", "liveness"])
+
+
 class TestVerdictFiles:
     def test_write_load_check_round_trip(self, bs_prefix_verdict, tmp_path):
         path = write_verdict(bs_prefix_verdict, str(tmp_path))
@@ -94,6 +127,41 @@ class TestVerdictFiles:
         path.write_text('{"schema": "something/else"}')
         with pytest.raises(VerifyError, match="verdict artifact"):
             check_verdict(str(path))
+
+
+class TestCheckVerdicts:
+    def test_one_report_per_path_in_order(self, bs_prefix_verdict,
+                                          tmp_path):
+        good = write_verdict(bs_prefix_verdict, str(tmp_path / "good"))
+        tampered = copy.deepcopy(bs_prefix_verdict)
+        tampered["result"] = "inconclusive"
+        bad = write_verdict(tampered, str(tmp_path / "bad"))
+        missing = str(tmp_path / "missing.json")
+        reports = check_verdicts([good, missing, bad])
+        assert [r["path"] for r in reports] == [good, missing, bad]
+        assert reports[0] == {"path": good, "signature": "ok",
+                              "result": "verified"}
+        assert "error" in reports[1]
+        assert "signature" in reports[2]["error"]
+
+    def test_recompute_once_per_system(self, monkeypatch, tmp_path):
+        committed = os.path.join(VERDICT_DIR, "token__prefix-property.json")
+        drifted = load_verdict(committed)
+        drifted["runs"][0]["states"] += 1
+        drifted["signature"] = sign(drifted)
+        stale = write_verdict(drifted, str(tmp_path))
+        calls = []
+        real = cutoff.certify_system
+
+        def counting(key, names, *args, **kwargs):
+            calls.append((key, list(names)))
+            return real(key, names, *args, **kwargs)
+
+        monkeypatch.setattr(cutoff, "certify_system", counting)
+        reports = check_verdicts([stale, committed], recompute=True)
+        assert calls == [("token", ["prefix-property"])]
+        assert "diverged on 'runs'" in reports[0]["error"]
+        assert reports[1]["recompute"] == "ok"
 
 
 class TestCommittedArtifacts:

@@ -153,3 +153,22 @@ class TestDiamondValidation:
                 insts.append(instance_footprint(
                     relation.footprints["1"], binding))
         assert not relation.instances_independent(insts[0], insts[1])
+
+    def test_footprints_come_from_the_relation(self, monkeypatch):
+        # A rule set allocated where a freed one lived shares its id(); a
+        # footprint cache keyed by id() handed it the dead rule set's
+        # footprints (false diamond violations, KeyError on rule names).
+        # Plant such a stale entry: validation must not read it.
+        from repro.verify import independence
+        from repro.verify.footprint import footprints
+
+        rules = bound_data(system_token.make_rules(3, ring=True), 1)
+        rewriter = Rewriter(rules, RuleContext())
+        relation = IndependenceRelation(rules)
+        initial = system_token.initial_state(3)
+        clean = validate_relation(rewriter, relation, initial)
+        assert clean[0] == [] and clean[1] > 0
+        monkeypatch.setattr(independence, "_FP_CACHE",
+                            {id(rules): footprints(_bs_bounded())},
+                            raising=False)
+        assert validate_relation(rewriter, relation, initial) == clean
