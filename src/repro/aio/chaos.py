@@ -25,19 +25,20 @@ the case seed.
 from __future__ import annotations
 
 import asyncio
-import json
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aio.cluster import AioCluster
 from repro.aio.oracle import AioInvariantOracle, CorruptionTolerantOracle
 from repro.aio.reliability import ReliabilityConfig
+from repro.aio.runtime import apply_fault, service_config, tokens_at_rest
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
 from repro.aio.virtualtime import run_virtual
-from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError
-from repro.faults.corruption import CORRUPTION_KINDS, corrupt_core
+from repro.faults.corruption import CORRUPTION_KINDS
+from repro.faults.vocabulary import chaos_ops, check_faults
+from repro.fuzz.case import CaseFile, RecordedOutcome
 from repro.fuzz.rng import child_rng
 
 __all__ = [
@@ -54,12 +55,12 @@ SCHEMA = "repro-chaos-case/v1"
 
 PROFILES = ("crash", "partition", "mixed", "corrupt")
 
-_FAULT_OPS = ("crash", "partition", "heal", "heal_all", "corrupt")
-
 
 @dataclass
-class ChaosCase:
+class ChaosCase(CaseFile):
     """One self-contained chaos scenario (serializable, replayable)."""
+
+    SCHEMA = SCHEMA
 
     seed: int
     profile: str = "mixed"
@@ -85,66 +86,17 @@ class ChaosCase:
         for t, node in self.requests:
             if not 0 <= node < self.n:
                 raise ConfigError(f"request targets unknown node {node}")
-        for fault in self.faults:
-            op = fault.get("op")
-            if op not in _FAULT_OPS:
-                raise ConfigError(f"unknown fault op {fault!r}")
-            if op == "crash" and not 0 <= fault.get("a", -1) < self.n:
-                raise ConfigError(f"crash targets unknown node {fault!r}")
-            if op == "corrupt":
-                if self.protocol != "stabilizing":
-                    raise ConfigError(
-                        "corrupt faults need protocol='stabilizing' "
-                        f"(got {self.protocol!r}): no other core converges "
-                        "from arbitrary states")
-                if fault.get("what") not in CORRUPTION_KINDS:
-                    raise ConfigError(
-                        f"unknown corruption kind in fault {fault!r}")
-                if not 0 <= fault.get("a", -1) < self.n:
-                    raise ConfigError(
-                        f"corrupt targets unknown node {fault!r}")
+        check_faults(self.faults, self.n, chaos_ops(self.protocol))
         return self
 
-    # -- (de)serialization ----------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        doc = asdict(self)
-        doc["requests"] = [list(r) for r in self.requests]
-        doc["schema"] = SCHEMA
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "ChaosCase":
-        doc = dict(doc)
-        schema = doc.pop("schema", SCHEMA)
-        if schema != SCHEMA:
-            raise ConfigError(f"unsupported chaos schema {schema!r}")
-        doc.pop("outcome", None)
+    @staticmethod
+    def _coerce(doc: Dict) -> None:
         doc["requests"] = [(float(t), int(node)) for t, node in
                            doc.get("requests", [])]
-        return cls(**doc).validate()
-
-    def save(self, path: str, outcome: Optional[Dict] = None) -> None:
-        doc = self.to_dict()
-        if outcome is not None:
-            doc["outcome"] = outcome
-        with open(path, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> Tuple["ChaosCase", Optional[Dict]]:
-        with open(path) as handle:
-            doc = json.load(handle)
-        outcome = doc.get("outcome")
-        return cls.from_dict(doc), outcome
-
-    def with_(self, **changes) -> "ChaosCase":
-        return replace(self, **changes)
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(RecordedOutcome):
     """Outcome of one chaos scenario."""
 
     ok: bool
@@ -169,42 +121,18 @@ class ChaosResult:
             doc["unrecovered"] = len(self.unrecovered)
         return doc
 
-    def matches(self, recorded: Dict) -> bool:
-        mine = self.outcome()
-        return all(mine.get(k) == v for k, v in recorded.items())
-
 
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
-def _runtime_config(protocol: str = "fault_tolerant") -> ProtocolConfig:
-    """The fault-tolerant stack a chaos run exercises.  Timer fields are
-    in message-delay units (the driver scales them by the transport
-    delay); ``regen_timeout`` is the *fallback* — once the ring has
-    cadence history, the supervisor's phi provider overrides it."""
-    config = ProtocolConfig(
-        trap_gc="rotation",
-        single_outstanding=True,
-        retry_timeout=25.0,
-        regen_timeout=30.0,
-        census_window=8.0,
-        loan_timeout=80.0,
-        regen_quorum=True,
-    )
-    if protocol == "stabilizing":
-        # The watchdog census would race the quorum-gated demand-driven
-        # regeneration; its staggered cadence sits well above it.
-        config.stabilize_watch = 50.0
-        config.stabilize_reset = True
-    return config
-
-
 async def _execute(case: ChaosCase) -> ChaosResult:
     corrupting = any(f["op"] == "corrupt" for f in case.faults)
     cluster = AioCluster(
         case.protocol, case.n, seed=case.seed,
-        config=_runtime_config(case.protocol),
+        # Chaos pins the stabilizing core's full reset on whatever the
+        # config default.
+        config=replace(service_config(case.protocol), stabilize_reset=True),
         delay=case.delay, loss_rate=case.loss_rate,
         reliability=ReliabilityConfig(),
         # The at-rest sanitizer would (rightly) reject the injected
@@ -242,21 +170,6 @@ async def _execute(case: ChaosCase) -> ChaosResult:
 
     last_fault_t = max((float(f["t"]) for f in case.faults), default=0.0)
 
-    async def _apply_fault(fault: Dict) -> None:
-        await asyncio.sleep(float(fault["t"]))
-        op = fault["op"]
-        if op == "crash":
-            await cluster.crash_node(fault["a"])
-        elif op == "partition":
-            cluster.transport.split(fault["group_a"], fault["group_b"])
-        elif op == "heal":
-            cluster.transport.heal(fault["a"], fault["b"])
-        elif op == "heal_all":
-            cluster.transport.heal_all()
-        elif op == "corrupt":
-            corrupt_core(cluster.drivers[fault["a"]].core,
-                         fault["what"], int(fault["arg"]), n=case.n)
-
     grants = 0
     waits: List[float] = []
     unrecovered: List[Dict] = []
@@ -280,7 +193,8 @@ async def _execute(case: ChaosCase) -> ChaosResult:
         await asyncio.sleep(case.delay)  # brief critical section
         cluster.release(node)
 
-    tasks = [asyncio.create_task(_apply_fault(f)) for f in case.faults]
+    tasks = [asyncio.create_task(apply_fault(cluster, f))
+             for f in case.faults]
     tasks += [asyncio.create_task(_request(t, node))
               for t, node in case.requests]
     await asyncio.gather(*tasks)
@@ -299,10 +213,7 @@ async def _execute(case: ChaosCase) -> ChaosResult:
         # at rest (the census is blind to in-flight copies, so only > 1
         # is a breach at the cut).  Liveness: a probe acquire must still
         # be granted — a deleted-and-never-regenerated token fails here.
-        census = sum(
-            1 for driver in cluster.drivers.values()
-            if getattr(driver.core, "has_token", False)
-            or getattr(driver.core, "lent_to", None) is not None)
+        census = tokens_at_rest(cluster)
         if census > 1:
             violation = {
                 "type": "OracleViolation", "invariant": "convergence",

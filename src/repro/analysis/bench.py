@@ -167,8 +167,6 @@ def _bench_fabric_10k(rounds: int) -> Dict[str, Any]:
     the per-key grant distribution, so a perf win that shifted *which*
     keys won their grants fails ``--compare``.
     """
-    import zlib
-
     from repro.core.config import ProtocolConfig
     from repro.fabric import TokenFabric
     from repro.workload.keyed import ClosedLoopKeyedWorkload
@@ -184,27 +182,14 @@ def _bench_fabric_10k(rounds: int) -> Dict[str, Any]:
     start = time.perf_counter()
     fabric.run(grants=grants_target)
     wall = time.perf_counter() - start
-    events, messages = fabric.executed_total, fabric.sent_total
-    metrics = fabric.metrics
-    lane_crc = 0
-    for stat in metrics.stats:
-        lane_crc = zlib.crc32(b"%d|" % stat.grants, lane_crc)
+    counters = fabric.pin_counters()
     return {
         "name": "fabric_10k",
         "metric": "events_per_second",
-        "value": events / wall if wall > 0 else 0.0,
+        "value": counters["events"] / wall if wall > 0 else 0.0,
         "unit": "1/s",
         "wall_s": wall,
-        "checksum": {
-            "keys": n_keys,
-            "events": events,
-            "messages": messages,
-            "grants": metrics.total_grants,
-            "requests": metrics.total_requests,
-            "p50_us": round(metrics.percentile(50.0) * 1e6),
-            "p99_us": round(metrics.percentile(99.0) * 1e6),
-            "lane_grants_crc": f"{lane_crc & 0xFFFFFFFF:08x}",
-        },
+        "checksum": counters,
     }
 
 
@@ -437,9 +422,9 @@ def _bench_aio_recovery(rounds: int) -> Dict[str, Any]:
 
     from repro.aio.cluster import AioCluster
     from repro.aio.reliability import ReliabilityConfig
+    from repro.aio.runtime import service_config
     from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
     from repro.aio.virtualtime import run_virtual
-    from repro.core.config import ProtocolConfig
     from repro.metrics.tracing import RecoveryTracker
 
     cycles = max(3, min(rounds // 10, 6))
@@ -448,10 +433,7 @@ def _bench_aio_recovery(rounds: int) -> Dict[str, Any]:
     async def scenario() -> Dict[str, Any]:
         cluster = AioCluster(
             "fault_tolerant", n, seed=2001,
-            config=ProtocolConfig(
-                trap_gc="rotation", single_outstanding=True,
-                retry_timeout=25.0, regen_timeout=30.0, census_window=8.0,
-                loan_timeout=80.0, regen_quorum=True),
+            config=service_config("fault_tolerant"),
             delay=delay, reliability=ReliabilityConfig())
         supervisor = ClusterSupervisor(cluster, RestartPolicy(
             restart_delay=20.0 * delay, heartbeat_interval=5.0 * delay))

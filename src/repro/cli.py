@@ -776,21 +776,9 @@ def _cmd_fabric(args) -> int:
     wall = time.perf_counter() - start
 
     metrics = fabric.metrics
-    lane_crc = 0
-    for stat in metrics.stats:
-        lane_crc = zlib.crc32(b"%d|" % stat.grants, lane_crc)
-    # Same counters the fabric_10k bench pins; folded to one hex word so a
-    # CI job can carry the pin as a single --expect-checksum argument.
-    counters = {
-        "keys": args.keys,
-        "events": fabric.executed_total,
-        "messages": fabric.sent_total,
-        "grants": metrics.total_grants,
-        "requests": metrics.total_requests,
-        "p50_us": round(metrics.percentile(50.0) * 1e6),
-        "p99_us": round(metrics.percentile(99.0) * 1e6),
-        "lane_grants_crc": f"{lane_crc & 0xFFFFFFFF:08x}",
-    }
+    counters = fabric.pin_counters()
+    # Folded to one hex word so a CI job can carry the pin as a single
+    # --expect-checksum argument.
     blob = json.dumps(counters, sort_keys=True).encode("utf-8")
     checksum = f"{zlib.crc32(blob):08x}"
 
@@ -834,26 +822,58 @@ def _cmd_fabric(args) -> int:
     return 0
 
 
-def _cmd_fuzz(args) -> int:
+def _replay(path: str, case_cls, run, counter: str) -> int:
+    """Replay one case file (fuzz or chaos).  Exits 0 when the run
+    reproduces the recorded outcome exactly, or, with none recorded, when
+    it is clean."""
+    case, recorded = case_cls.load(path)
+    result = run(case)
+    outcome = result.outcome()
+    status = ("ok" if result.ok else
+              f"VIOLATION {outcome['invariant']}" if "invariant" in outcome
+              else "FAILED")
+    if outcome.get("unrecovered"):
+        status += f" unrecovered={outcome['unrecovered']}"
+    print(f"replay {path}: {status} "
+          f"checksum={result.checksum} {counter}={outcome[counter]}")
+    if recorded is None:
+        return 0 if result.ok else 1
+    if result.matches(recorded):
+        print("recorded outcome reproduced exactly")
+        return 0
+    print(f"MISMATCH: recorded {recorded}, got {outcome}", file=sys.stderr)
+    return 1
+
+
+def _counterexample(args, name: str, case, result, shrinker=None):
+    """Write a failing case with its outcome under ``--out`` — shrunk
+    first when ``--shrink`` is set and the harness has a shrinker.
+    Returns the path and the (possibly shrunk) result."""
     import os
 
+    if shrinker is not None and args.shrink:
+        case, result, attempts = shrinker(case, result)
+        print(f"    shrunk to {case.event_count()} schedule "
+              f"events (n={case.n}) in {attempts} attempts")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    case.save(path, outcome=result.outcome())
+    print(f"    counterexample written to {path}")
+    return path, result
+
+
+def _report_failures(failures: list, tally: str) -> int:
+    print(tally)
+    for index, what, path in failures:
+        print(f"  run {index}: {what} -> {path}", file=sys.stderr)
+    return 0 if not failures else 1
+
+
+def _cmd_fuzz(args) -> int:
     from repro.fuzz import FuzzCase, fuzz_run, run_case, shrink
 
     if args.replay:
-        case, recorded = FuzzCase.load(args.replay)
-        result = run_case(case)
-        status = "ok" if result.ok else \
-            f"VIOLATION {result.violation.get('invariant')}"
-        print(f"replay {args.replay}: {status} "
-              f"checksum={result.checksum} events={result.events}")
-        if recorded is None:
-            return 0 if result.ok else 1
-        if result.matches(recorded):
-            print("recorded outcome reproduced exactly")
-            return 0
-        print(f"MISMATCH: recorded {recorded}, got {result.outcome()}",
-              file=sys.stderr)
-        return 1
+        return _replay(args.replay, FuzzCase, run_case, "events")
 
     failures = []
 
@@ -865,31 +885,18 @@ def _cmd_fuzz(args) -> int:
             return
         print(f"  run {index:3d} {label:32s} VIOLATION "
               f"{result.violation.get('invariant')}")
-        final_case, final_result = case, result
-        if args.shrink:
-            final_case, final_result, attempts = shrink(case, result)
-            print(f"    shrunk to {final_case.event_count()} schedule "
-                  f"events (n={final_case.n}) in {attempts} attempts")
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"case-{args.seed}-{index}.json")
-        final_case.save(path, outcome=final_result.outcome())
-        failures.append((index, final_result.violation, path))
-        print(f"    counterexample written to {path}")
+        path, result = _counterexample(
+            args, f"case-{args.seed}-{index}.json", case, result, shrink)
+        failures.append((index, result.violation.get("invariant"), path))
 
     print(f"fuzz: seed={args.seed} runs={args.runs} profile={args.profile}")
     summaries = fuzz_run(args.seed, args.runs, args.profile,
                          on_result=_capture)
     ok = sum(1 for s in summaries if s["ok"])
-    print(f"{ok}/{len(summaries)} runs clean")
-    for index, violation, path in failures:
-        print(f"  run {index}: {violation.get('invariant')} -> {path}",
-              file=sys.stderr)
-    return 0 if not failures else 1
+    return _report_failures(failures, f"{ok}/{len(summaries)} runs clean")
 
 
 def _cmd_stabilize(args) -> int:
-    import os
-
     from repro.fuzz import fuzz_run, shrink
 
     if args.measure is not None:
@@ -922,26 +929,15 @@ def _cmd_stabilize(args) -> int:
             return
         print(f"  run {index:3d} {case.label:20s} VIOLATION "
               f"{result.violation.get('invariant')}")
-        final_case, final_result = case, result
-        if args.shrink:
-            final_case, final_result, attempts = shrink(case, result)
-            print(f"    shrunk to {final_case.event_count()} schedule "
-                  f"events (n={final_case.n}) in {attempts} attempts")
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"stabilize-{args.seed}-{index}.json")
-        final_case.save(path, outcome=final_result.outcome())
-        failures.append((index, final_result.violation, path))
-        print(f"    counterexample written to {path}")
+        path, result = _counterexample(
+            args, f"stabilize-{args.seed}-{index}.json", case, result, shrink)
+        failures.append((index, result.violation.get("invariant"), path))
 
     print(f"stabilize: seed={args.seed} runs={args.runs}")
     summaries = fuzz_run(args.seed, args.runs, "stabilize",
                          on_result=_capture)
     ok = sum(1 for s in summaries if s["ok"])
-    print(f"{ok}/{len(summaries)} runs converged")
-    for index, violation, path in failures:
-        print(f"  run {index}: {violation.get('invariant')} -> {path}",
-              file=sys.stderr)
-    return 0 if not failures else 1
+    return _report_failures(failures, f"{ok}/{len(summaries)} runs converged")
 
 
 def _cmd_verify(args) -> int:
@@ -1043,33 +1039,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    import os
-
     from repro.aio.chaos import ChaosCase, chaos_run, run_chaos_case
 
     if args.replay:
-        case, recorded = ChaosCase.load(args.replay)
-        result = run_chaos_case(case)
-        status = "ok" if result.ok else \
-            f"VIOLATION {result.violation.get('invariant')}"
-        if result.unrecovered:
-            status += f" unrecovered={len(result.unrecovered)}"
-        print(f"replay {args.replay}: {status} "
-              f"checksum={result.checksum} grants={result.grants}")
-        if recorded is None:
-            return 0 if result.ok and not result.unrecovered else 1
-        if result.matches(recorded):
-            print("recorded outcome reproduced exactly")
-            return 0
-        print(f"MISMATCH: recorded {recorded}, got {result.outcome()}",
-              file=sys.stderr)
-        return 1
+        return _replay(args.replay, ChaosCase, run_chaos_case, "grants")
 
     failures = []
 
     def _capture(index, case, result):
-        clean = result.ok and not result.unrecovered
-        if clean:
+        if result.ok:
             print(f"  run {index:3d} {case.label:32s} ok  "
                   f"checksum={result.checksum} grants={result.grants} "
                   f"restarts={result.restarts} max_wait={result.max_wait:.2f}")
@@ -1079,19 +1057,14 @@ def _cmd_chaos(args) -> int:
                 else f"{len(result.unrecovered)} acquire(s) past the "
                      f"recovery window")
         print(f"  run {index:3d} {case.label:32s} FAILED {what}")
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"case-{args.seed}-{index}.json")
-        case.save(path, outcome=result.outcome())
+        path, _ = _counterexample(
+            args, f"case-{args.seed}-{index}.json", case, result)
         failures.append((index, what, path))
-        print(f"    counterexample written to {path}")
 
     print(f"chaos: seed={args.seed} runs={args.runs} profile={args.profile}")
     chaos_run(args.seed, args.runs, args.profile, on_result=_capture)
-    clean = args.runs - len(failures)
-    print(f"{clean}/{args.runs} scenarios clean")
-    for index, what, path in failures:
-        print(f"  run {index}: {what} -> {path}", file=sys.stderr)
-    return 0 if not failures else 1
+    return _report_failures(
+        failures, f"{args.runs - len(failures)}/{args.runs} scenarios clean")
 
 
 def _cmd_serve(args) -> int:

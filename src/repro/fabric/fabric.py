@@ -242,6 +242,26 @@ class TokenFabric:
         for lane in self._lanes:
             lane.assert_single_token()
 
+    def pin_counters(self) -> Dict[str, object]:
+        """The counters ``repro fabric --expect-checksum`` and the
+        ``fabric_10k`` bench pin: totals, microsecond-rounded latency
+        percentiles, and a CRC over the per-key grant distribution, so a
+        change that shifted *which* keys won their grants fails the pin."""
+        metrics = self.metrics
+        lane_crc = 0
+        for stat in metrics.stats:
+            lane_crc = zlib.crc32(b"%d|" % stat.grants, lane_crc)
+        return {
+            "keys": len(self._lanes),
+            "events": self.executed_total,
+            "messages": self.sent_total,
+            "grants": metrics.total_grants,
+            "requests": metrics.total_requests,
+            "p50_us": round(metrics.percentile(50.0) * 1e6),
+            "p99_us": round(metrics.percentile(99.0) * 1e6),
+            "lane_grants_crc": f"{lane_crc & 0xFFFFFFFF:08x}",
+        }
+
     def summary(self) -> Dict[str, object]:
         """Fabric-level metrics roll-up plus execution counters."""
         doc = self.metrics.summary()

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, FuzzCaseError
+from repro.errors import ConfigError
 from repro.faults.corruption import CORRUPTION_KINDS
+from repro.faults.vocabulary import FABRIC_OPS, IMPL_OPS, check_faults
 from repro.fuzz.rng import child_rng
 from repro.sim.network import (
     ConstantDelay,
@@ -33,6 +34,8 @@ from repro.sim.network import (
 
 __all__ = [
     "SCHEMA",
+    "CaseFile",
+    "RecordedOutcome",
     "PROFILES",
     "IMPL_PROTOCOLS",
     "SPEC_SYSTEMS",
@@ -63,38 +66,77 @@ SPEC_SYSTEMS = ("S", "S1", "Tok", "MP", "Srch", "BS")
 #: mixed-profile case).
 PROFILES = ("clean", "faults", "spec", "mixed", "fabric", "stabilize")
 
-_FAULT_OPS = ("crash", "recover", "token_loss", "partition", "heal",
-              "corrupt")
-
 #: Protocols accepted by validation: every fuzz-eligible core plus the
 #: stabilizing variant, which is replayable but excluded from
 #: IMPL_PROTOCOLS so random clean/faults draws stay pinned.
 _VALID_PROTOCOLS = IMPL_PROTOCOLS + ("stabilizing",)
 
 
-def _check_fault(fault: Dict, n: int) -> None:
-    """Validate one impl-level fault entry; raise FuzzCaseError naming
-    the offending kind instead of letting the runner hit a KeyError."""
-    op = fault.get("op")
-    if op not in _FAULT_OPS:
-        raise FuzzCaseError(f"unknown fault op {op!r} in fault {fault!r}; "
-                            f"known ops: {_FAULT_OPS}", kind=op)
-    if op == "corrupt":
-        what = fault.get("what")
-        if what not in CORRUPTION_KINDS:
-            raise FuzzCaseError(
-                f"unknown corruption kind {what!r} in fault {fault!r}; "
-                f"known kinds: {CORRUPTION_KINDS}", kind=what)
-        victim = fault.get("a")
-        if not isinstance(victim, int) or not 0 <= victim < n:
-            raise FuzzCaseError(
-                f"corrupt fault needs a victim node 'a' in [0, {n}), "
-                f"got {fault!r}", kind=op)
+class CaseFile:
+    """Case-file plumbing shared by :class:`FuzzCase` and
+    :class:`~repro.aio.chaos.ChaosCase`: a JSON document holding the
+    case's fields, its ``schema`` tag and, in replay files, the recorded
+    outcome.  Subclasses are dataclasses with a ``validate()`` method and
+    a :meth:`_coerce` that turns JSON lists back into schedule tuples."""
+
+    SCHEMA: ClassVar[str]
+
+    def to_dict(self) -> Dict:
+        doc = asdict(self)
+        for name in ("requests", "keyed_requests"):
+            if name in doc:
+                doc[name] = [list(r) for r in doc[name]]
+        doc["schema"] = self.SCHEMA
+        return doc
+
+    @staticmethod
+    def _coerce(doc: Dict) -> None:
+        """Restore tuple-typed fields of a JSON document in place."""
+
+    @classmethod
+    def from_dict(cls, doc: Dict):
+        doc = dict(doc)
+        schema = doc.pop("schema", cls.SCHEMA)
+        if schema != cls.SCHEMA:
+            raise ConfigError(f"unsupported case schema {schema!r}")
+        doc.pop("outcome", None)  # replay files carry the recorded outcome
+        cls._coerce(doc)
+        return cls(**doc).validate()
+
+    def save(self, path: str, outcome: Optional[Dict] = None) -> None:
+        doc = self.to_dict()
+        if outcome is not None:
+            doc["outcome"] = outcome
+        with open(path, "w") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+    @classmethod
+    def load(cls, path: str) -> Tuple[Any, Optional[Dict]]:
+        """Load a case file; returns ``(case, recorded_outcome_or_None)``."""
+        with open(path) as handle:
+            doc = json.load(handle)
+        return cls.from_dict(doc), doc.get("outcome")
+
+    def with_(self, **changes):
+        return replace(self, **changes)
+
+
+class RecordedOutcome:
+    """``matches`` for result classes whose ``outcome()`` is the stable
+    portion a case file records."""
+
+    def matches(self, recorded: Dict) -> bool:
+        """Does this run reproduce a case file's recorded outcome?"""
+        mine = self.outcome()
+        return all(mine.get(k) == v for k, v in recorded.items())
 
 
 @dataclass
-class FuzzCase:
+class FuzzCase(CaseFile):
     """One self-contained fuzz run (impl- or spec-level)."""
+
+    SCHEMA = SCHEMA
 
     seed: int
     kind: str = "impl"                       # "impl" | "spec" | "fabric"
@@ -145,71 +187,25 @@ class FuzzCase:
                 if not 0 <= k < n_keys:
                     raise ConfigError(f"keyed request names key {k} "
                                       f"of {n_keys}")
-            for fault in self.faults:
-                op = fault.get("op")
-                if op not in _FAULT_OPS or op == "corrupt":
-                    raise FuzzCaseError(
-                        f"unknown fabric fault op {op!r} in fault "
-                        f"{fault!r}", kind=op)
-                if "k" not in fault:
-                    raise FuzzCaseError(
-                        f"fabric fault {fault!r} is missing its lane "
-                        f"index 'k'", kind=op)
-                if not 0 <= fault["k"] < n_keys:
-                    raise FuzzCaseError(f"fault names key {fault['k']} "
-                                        f"of {n_keys}", kind=op)
+            check_faults(self.faults, [spec.get("n", 4) for spec in self.keys],
+                         FABRIC_OPS)
         elif self.kind == "impl":
             if self.protocol not in _VALID_PROTOCOLS:
                 raise ConfigError(f"unknown protocol {self.protocol!r}")
             if self.n < 1:
                 raise ConfigError(f"n must be >= 1, got {self.n}")
-            for fault in self.faults:
-                _check_fault(fault, self.n)
+            check_faults(self.faults, self.n, IMPL_OPS)
         else:
             if self.system not in SPEC_SYSTEMS:
                 raise ConfigError(f"unknown spec system {self.system!r}")
         return self
 
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        doc = asdict(self)
-        doc["requests"] = [list(r) for r in self.requests]
-        doc["keyed_requests"] = [list(r) for r in self.keyed_requests]
-        doc["schema"] = SCHEMA
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "FuzzCase":
-        doc = dict(doc)
-        schema = doc.pop("schema", SCHEMA)
-        if schema != SCHEMA:
-            raise ConfigError(f"unsupported case schema {schema!r}")
-        doc.pop("outcome", None)  # replay files carry the recorded outcome
+    @staticmethod
+    def _coerce(doc: Dict) -> None:
         doc["requests"] = [(float(t), int(node)) for t, node in
                            doc.get("requests", [])]
         doc["keyed_requests"] = [(float(t), int(k), int(node)) for t, k, node
                                  in doc.get("keyed_requests", [])]
-        return cls(**doc).validate()
-
-    def save(self, path: str, outcome: Optional[Dict] = None) -> None:
-        doc = self.to_dict()
-        if outcome is not None:
-            doc["outcome"] = outcome
-        with open(path, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> Tuple["FuzzCase", Optional[Dict]]:
-        """Load a case file; returns ``(case, recorded_outcome_or_None)``."""
-        with open(path) as handle:
-            doc = json.load(handle)
-        outcome = doc.get("outcome")
-        return cls.from_dict(doc), outcome
-
-    def with_(self, **changes) -> "FuzzCase":
-        return replace(self, **changes)
 
 
 def build_delay(spec: Dict) -> DelayModel:

@@ -20,7 +20,7 @@ from repro.core.cluster import Cluster
 from repro.core.config import ProtocolConfig
 from repro.errors import ProtocolError, SimulationError
 from repro.faults.corruption import corrupt_core
-from repro.fuzz.case import FuzzCase, build_delay, generate_case
+from repro.fuzz.case import FuzzCase, RecordedOutcome, build_delay, generate_case
 from repro.fuzz.oracle import InvariantOracle, OracleViolation, check_spec_reduction
 from repro.fuzz.rng import derive_seed
 from repro.lint import LintViolation
@@ -35,7 +35,7 @@ _VIOLATIONS = (OracleViolation, LintViolation, ProtocolError, SimulationError)
 
 
 @dataclass
-class FuzzResult:
+class FuzzResult(RecordedOutcome):
     """Outcome of one fuzz case."""
 
     ok: bool
@@ -58,11 +58,6 @@ class FuzzResult:
         if self.stabilization is not None:
             doc["episodes"] = self.stabilization.get("episodes")
         return doc
-
-    def matches(self, recorded: Dict) -> bool:
-        """Does this run reproduce a corpus file's recorded outcome?"""
-        mine = self.outcome()
-        return all(mine.get(k) == v for k, v in recorded.items())
 
 
 def _violation_dict(exc: Exception) -> Dict:
@@ -99,45 +94,36 @@ class _TokenLossInjector:
         return False
 
 
-def _schedule_faults(cluster: Cluster, case: FuzzCase,
-                     injector: _TokenLossInjector,
-                     oracle: Optional[InvariantOracle] = None) -> None:
-    """Schedule the case's fault plan.  When ``oracle`` is a
-    :class:`~repro.stabilize.oracle.ConvergenceOracle`, every fault also
-    opens a stabilization episode — crashes and token losses create
-    legitimate transient illegitimacy just like corruption does."""
-    inject = getattr(oracle, "inject", None)
+def _schedule_fault(cluster: Cluster, fault: Dict,
+                    injector: Optional[_TokenLossInjector] = None,
+                    inject: Optional[Callable] = None) -> None:
+    """Schedule one fault of a validated plan on ``cluster`` — a
+    standalone cluster or a fabric lane on the fabric's shared sim.  With
+    ``inject`` (a :class:`~repro.stabilize.oracle.ConvergenceOracle`'s),
+    the fault also opens a stabilization episode: crashes and token
+    losses create legitimate transient illegitimacy just like corruption
+    does."""
+    op = fault["op"]
+    args: tuple = ()
+    if op in ("crash", "recover"):
+        action = getattr(cluster.drivers[fault["a"]], op)
+    elif op == "token_loss":
+        action = injector.arm  # type: ignore[union-attr]
+    elif op in ("partition", "heal"):
+        action = getattr(cluster.network, op)
+        args = (fault["a"], fault["b"])
+    else:
+        action = corrupt_core
+        args = (cluster.drivers[fault["a"]].core, fault["what"],
+                int(fault["arg"]), cluster.n)
+    if inject is None:
+        cluster.sim.schedule_at(float(fault["t"]), action, *args)
+        return
 
-    def _wrap(action: Callable, *args) -> Callable:
-        if inject is None:
-            return lambda: action(*args)
-
-        def fire() -> None:
-            action(*args)
-            inject(cluster.sim.now)
-        return fire
-
-    for fault in case.faults:
-        t, op = float(fault["t"]), fault["op"]
-        if op == "crash":
-            cluster.sim.schedule_at(
-                t, _wrap(cluster.drivers[fault["a"]].crash))
-        elif op == "recover":
-            cluster.sim.schedule_at(
-                t, _wrap(cluster.drivers[fault["a"]].recover))
-        elif op == "token_loss":
-            cluster.sim.schedule_at(t, _wrap(injector.arm))
-        elif op == "partition":
-            cluster.sim.schedule_at(
-                t, _wrap(cluster.network.partition, fault["a"], fault["b"]))
-        elif op == "heal":
-            cluster.sim.schedule_at(
-                t, _wrap(cluster.network.heal, fault["a"], fault["b"]))
-        elif op == "corrupt":
-            core = cluster.drivers[fault["a"]].core
-            cluster.sim.schedule_at(
-                t, _wrap(corrupt_core, core, fault["what"],
-                         int(fault["arg"]), case.n))
+    def fire() -> None:
+        action(*args)
+        inject(cluster.sim.now)
+    cluster.sim.schedule_at(float(fault["t"]), fire)
 
 
 def _run_impl(case: FuzzCase) -> FuzzResult:
@@ -188,8 +174,9 @@ def _run_impl(case: FuzzCase) -> FuzzResult:
     cluster.network.on_send.append(_digest)
     for time, node in case.requests:
         cluster.sim.schedule_at(time, cluster.request, node)
-    _schedule_faults(cluster, case, injector,
-                     oracle=oracle if stab else None)
+    inject = oracle.inject if stab else None  # type: ignore[attr-defined]
+    for fault in case.faults:
+        _schedule_fault(cluster, fault, injector, inject)
 
     violation: Optional[Dict] = None
     try:
@@ -258,17 +245,9 @@ def _run_fabric(case: FuzzCase) -> FuzzResult:
 
     for time, k, node in case.keyed_requests:
         sim.schedule_at(time, fabric.request_id, k, node)
+    lanes = fabric.lanes()
     for fault in case.faults:
-        t, op = float(fault["t"]), fault["op"]
-        lane = fabric.lanes()[fault["k"]]
-        if op == "crash":
-            sim.schedule_at(t, lane.drivers[fault["a"]].crash)
-        elif op == "recover":
-            sim.schedule_at(t, lane.drivers[fault["a"]].recover)
-        elif op == "partition":
-            sim.schedule_at(t, lane.network.partition, fault["a"], fault["b"])
-        elif op == "heal":
-            sim.schedule_at(t, lane.network.heal, fault["a"], fault["b"])
+        _schedule_fault(lanes[fault["k"]], fault)
 
     violation: Optional[Dict] = None
     try:

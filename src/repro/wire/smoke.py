@@ -29,63 +29,17 @@ from typing import Any, Dict, List, Optional
 from repro.aio.cluster import AioCluster
 from repro.aio.oracle import AioInvariantOracle, CorruptionTolerantOracle
 from repro.aio.reliability import ReliabilityConfig
+from repro.aio.runtime import apply_fault, service_config, tokens_at_rest
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
-from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError
+from repro.faults.vocabulary import check_faults, wire_ops
 from repro.wire.client import LoadGenerator
 from repro.wire.server import LockServiceServer
 from repro.wire.transport import WireTransport
 
-__all__ = ["SCHEMA", "FAULT_OPS", "service_config", "run_wire_smoke"]
+__all__ = ["SCHEMA", "service_config", "run_wire_smoke"]
 
 SCHEMA = "repro-wire-smoke/v1"
-
-FAULT_OPS = ("crash", "partition", "heal", "heal_all", "reset", "corrupt")
-
-
-def service_config(protocol: str) -> ProtocolConfig:
-    """The protocol stack a wire service runs.  For ``fault_tolerant``
-    (and the stabilizing core on top of it) this mirrors the chaos
-    harness: rotation trap GC, quorum-gated regeneration, timers in
-    message-delay units that the driver scales by the transport delay."""
-    if protocol in ("fault_tolerant", "stabilizing"):
-        config = ProtocolConfig(
-            trap_gc="rotation",
-            single_outstanding=True,
-            retry_timeout=25.0,
-            regen_timeout=30.0,
-            census_window=8.0,
-            loan_timeout=80.0,
-            regen_quorum=True,
-        )
-        if protocol == "stabilizing":
-            config.stabilize_watch = 50.0
-        return config
-    return ProtocolConfig()
-
-
-def _validate_faults(faults: List[Dict], n: int,
-                     protocol: str = "fault_tolerant") -> None:
-    from repro.faults.corruption import CORRUPTION_KINDS
-
-    for fault in faults:
-        op = fault.get("op")
-        if op not in FAULT_OPS:
-            raise ConfigError(f"unknown wire fault op {fault!r}")
-        if op == "crash" and not 0 <= fault.get("a", -1) < n:
-            raise ConfigError(f"crash targets unknown node {fault!r}")
-        if op == "corrupt":
-            if protocol != "stabilizing":
-                raise ConfigError(
-                    "corrupt wire faults need protocol='stabilizing' "
-                    f"(got {protocol!r})")
-            if fault.get("what") not in CORRUPTION_KINDS:
-                raise ConfigError(
-                    f"unknown corruption kind in wire fault {fault!r}")
-            if not 0 <= fault.get("a", -1) < n:
-                raise ConfigError(
-                    f"corrupt targets unknown node {fault!r}")
-
 
 async def _run(
     n: int,
@@ -133,29 +87,10 @@ async def _run(
     if supervisor is not None:
         await supervisor.start()
 
-    async def _apply_fault(fault: Dict) -> None:
-        await asyncio.sleep(float(fault.get("t", 0.0)))
-        op = fault["op"]
-        if op == "crash":
-            await cluster.crash_node(fault["a"])
-        elif op == "partition":
-            transport.split(fault["group_a"], fault["group_b"])
-        elif op == "heal":
-            transport.heal(fault["a"], fault["b"])
-        elif op == "heal_all":
-            transport.heal_all()
-        elif op == "reset":
-            transport.reset_connections(fault.get("a"))
-        elif op == "corrupt":
-            from repro.faults.corruption import corrupt_core
-
-            corrupt_core(cluster.drivers[fault["a"]].core,
-                         fault["what"], int(fault.get("arg", 0)), n=n)
-
     generator = LoadGenerator("127.0.0.1", server.port, seed=seed,
                               acquire_timeout=acquire_timeout)
-    fault_tasks = [asyncio.get_running_loop().create_task(_apply_fault(f))
-                   for f in faults]
+    fault_tasks = [asyncio.get_running_loop().create_task(
+        apply_fault(cluster, f)) for f in faults]
     try:
         load = await generator.run_closed_loop(
             clients, ops, think_time=think_time, hold_time=hold_time)
@@ -179,11 +114,7 @@ async def _run(
         # Convergence fold: at most one token at rest at teardown (the
         # census is blind to in-flight copies, so only > 1 is a breach);
         # liveness is already proven by every op having been granted.
-        census = sum(
-            1 for driver in cluster.drivers.values()
-            if getattr(driver.core, "has_token", False)
-            or getattr(driver.core, "lent_to", None) is not None)
-        converged = census <= 1
+        converged = tokens_at_rest(cluster) <= 1
 
     p99_ok = load.wait_p99 <= p99_budget
     ok = (violation is None and load.errors == 0 and load.failures == 0
@@ -253,7 +184,7 @@ def run_wire_smoke(
     if ops < 1:
         raise ConfigError(f"ops must be >= 1, got {ops}")
     fault_list = list(faults) if faults else []
-    _validate_faults(fault_list, n, protocol)
+    check_faults(fault_list, n, wire_ops(protocol))
     return asyncio.run(_run(
         n=n, ops=ops, clients=clients, protocol=protocol, seed=seed,
         delay=delay, loss_rate=loss_rate, think_time=think_time,

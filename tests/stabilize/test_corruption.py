@@ -112,6 +112,32 @@ class TestLoaderRejection:
                 faults=[{"t": 5.0, "op": "corrupt",
                          "what": "delete_token", "arg": 1}]))
 
+    @pytest.mark.parametrize("fault", [
+        {"t": 5.0, "op": "crash", "a": 7},
+        {"t": 5.0, "op": "crash"},
+        {"t": 5.0, "op": "partition", "a": 0},
+        {"t": 5.0, "op": "heal", "a": 0, "b": 9},
+    ], ids=["crash-node-out-of-range", "crash-missing-a",
+            "partition-missing-b", "heal-node-out-of-range"])
+    def test_malformed_impl_fault_is_typed(self, fault):
+        with pytest.raises(FuzzCaseError) as err:
+            FuzzCase.from_dict(self.base(n=3, faults=[fault]))
+        assert err.value.kind == fault["op"]
+
+    @pytest.mark.parametrize("fault", [
+        {"t": 2.0, "op": "token_loss", "k": 0},
+        {"t": 2.0, "op": "crash", "a": 3, "k": 1},
+    ], ids=["token-loss", "crash-outside-lane"])
+    def test_malformed_fabric_fault_is_typed(self, fault):
+        doc = dict(seed=1, kind="fabric",
+                   keys=[{"key": "a", "protocol": "binary_search", "n": 5},
+                         {"key": "b", "protocol": "binary_search", "n": 3}],
+                   keyed_requests=[[1.0, 0, 0]], faults=[fault],
+                   horizon=50.0)
+        with pytest.raises(FuzzCaseError) as err:
+            FuzzCase.from_dict(doc)
+        assert err.value.kind == fault["op"]
+
     def test_fabric_fault_missing_lane_is_typed(self):
         doc = dict(seed=1, kind="fabric",
                    keys=[{"key": "a", "protocol": "binary_search", "n": 3}],

@@ -4,8 +4,13 @@
 import pytest
 
 from repro.aio.chaos import ChaosCase, generate_chaos_case, run_chaos_case
-from repro.errors import ConfigError
-from repro.wire.smoke import _validate_faults
+from repro.errors import ConfigError, FuzzCaseError
+from repro.faults.vocabulary import check_faults, wire_ops
+from repro.wire.smoke import run_wire_smoke
+
+
+def _validate_faults(faults, n, protocol):
+    check_faults(faults, n, wire_ops(protocol))
 
 
 class TestChaosCorrupt:
@@ -39,6 +44,17 @@ class TestChaosCorrupt:
                          "what": "duplicate_token", "arg": 11}],
                 horizon=10.0, label="bad").validate()
 
+    @pytest.mark.parametrize("fault", [
+        {"t": 1.0, "op": "partition", "group_a": [0], "group_b": [9]},
+        {"t": 1.0, "op": "heal", "a": 0},
+    ], ids=["partition-node-out-of-range", "heal-missing-b"])
+    def test_malformed_fault_rejected_with_a_type(self, fault):
+        with pytest.raises(FuzzCaseError):
+            ChaosCase(
+                seed=5, profile="mixed", n=4, delay=0.01, loss_rate=0.0,
+                recovery_window=8.0, requests=[(0.5, 1)], faults=[fault],
+                horizon=10.0, label="bad").validate()
+
     def test_unknown_corruption_kind_rejected(self):
         with pytest.raises(ConfigError):
             ChaosCase(
@@ -70,3 +86,9 @@ class TestWireValidation:
                 [{"t": 1.0, "op": "corrupt", "a": 9,
                   "what": "delete_token", "arg": 3}],
                 n=3, protocol="stabilizing")
+
+    def test_heal_missing_b_rejected_before_any_socket(self, monkeypatch):
+        monkeypatch.setattr("repro.wire.smoke._run", None)  # never reached
+        with pytest.raises(FuzzCaseError):
+            run_wire_smoke(n=3, ops=10,
+                           faults=[{"t": 0.01, "op": "heal", "a": 0}])
