@@ -1,6 +1,10 @@
 """Byte-determinism of the ``repro lint --json`` report."""
 
+import os
+
 from repro.lint.findings import LintFinding, LintReport, Severity
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_report.json")
 
 
 def _finding(code, system, rule, message):
@@ -41,3 +45,13 @@ class TestReportDeterminism:
         first = run_all(max_states=60, include_dynamic=False, only=["S1"])
         second = run_all(max_states=60, include_dynamic=False, only=["S1"])
         assert first.to_json() == second.to_json()
+
+    def test_full_report_matches_golden(self):
+        # The default ``repro lint --json`` report, pinned byte for byte:
+        # every sampled state count, restriction and simulation verdict
+        # and independence summary of the six chain systems, plus the
+        # sanitized simulations.
+        from repro.lint.registry import run_all
+
+        with open(GOLDEN, encoding="utf-8") as handle:
+            assert run_all().to_json() + "\n" == handle.read()
