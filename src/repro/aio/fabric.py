@@ -21,7 +21,6 @@ and the fabric will stop the supervisors alongside the lanes.
 from __future__ import annotations
 
 import asyncio
-import zlib
 from typing import Dict, List, Optional
 
 from repro.aio.cluster import AioCluster
@@ -29,6 +28,7 @@ from repro.aio.reliability import ReliabilityConfig
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError
+from repro.fabric.fabric import derive_lane_seed
 from repro.metrics.keyed import KeyedMetricsRegistry
 
 __all__ = ["AioFabric"]
@@ -55,9 +55,8 @@ class AioFabric:
         return self._keys
 
     def lane_seed(self, key: str) -> int:
-        """Same derivation as ``TokenFabric.lane_seed`` — a DES rehearsal
-        and a live deployment of the same fabric seed agree per key."""
-        return zlib.crc32(f"{self.seed}|{key}".encode("utf-8"))
+        """Deterministic per-key seed (:func:`derive_lane_seed`)."""
+        return derive_lane_seed(self.seed, key)
 
     def add_key(
         self,

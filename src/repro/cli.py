@@ -53,10 +53,8 @@ from repro.analysis.experiments import (
     run_throttle_ablation,
 )
 from repro.analysis.tables import format_series, format_table
+from repro.core.cluster import PROTOCOLS
 from repro.core.config import ProtocolConfig
-
-PROTOCOLS = ("ring", "linear_search", "binary_search", "directed_search",
-             "push", "hybrid", "fault_tolerant")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -510,48 +508,27 @@ def _cmd_ablations(args) -> int:
 
 
 def _cmd_refinement(args) -> int:
-    from repro.specs import (
-        system_binary_search,
-        system_message_passing,
-        system_s,
-        system_s1,
-        system_search,
-        system_token,
-    )
+    from repro.specs.chain import CHAIN
     from repro.specs.properties import prefix_property
-    from repro.specs.refinement import (
-        binary_search_to_s1,
-        check_refinement,
-        mp_to_s1,
-        s1_to_s,
-        search_to_s1,
-        token_to_s1,
-    )
+    from repro.specs.refinement import check_refinement
 
     n = args.nodes
-    coarse_s, _ = system_s.make_system(n)
-    coarse_s1, _ = system_s1.make_system(n)
-    chain = [
-        ("S1 -> S (Lemma 1)", system_s1.make_system(n), s1_to_s,
-         coarse_s, 1, {}),
-        ("Token -> S1 (Lemma 2)", system_token.make_system(n), token_to_s1,
-         coarse_s1, 2, {}),
-        ("MP -> S1 (Lemma 3)", system_message_passing.make_system(n),
-         mp_to_s1, coarse_s1, 2, {}),
-        ("Search -> S1", system_search.make_system(n), search_to_s1,
-         coarse_s1, 2, {"5": 0.5, "6": 0.8}),
-        ("BinarySearch -> S1 (Thm 1)", system_binary_search.make_system(n),
-         binary_search_to_s1, coarse_s1, 2,
-         {"1": 1.5, "2": 3.0, "5": 0.6}),
-    ]
-    for label, (rewriter, initial), mapping, coarse, depth, weights in chain:
+    coarse = {}  # parent key -> its rewriter, shared by every edge into it
+    for system in CHAIN:
+        edge = system.edge
+        if edge is None:
+            continue
+        parent = edge.parent.key
+        if parent not in coarse:
+            coarse[parent] = edge.parent.module.make_system(n)[0]
+        rewriter, initial = system.module.make_system(n)
         reduction = rewriter.random_reduction(initial, args.steps,
                                               seed=args.seed,
-                                              weights=weights or None)
+                                              weights=edge.weights or None)
         reduction.check_invariant(prefix_property)
-        simulated = check_refinement(reduction, mapping, coarse,
-                                     max_depth=depth)
-        print(f"  {label:<28} OK ({len(reduction)} steps, "
+        simulated = check_refinement(reduction, edge.mapping,
+                                     coarse[parent], max_depth=edge.depth)
+        print(f"  {edge.label:<28} OK ({len(reduction)} steps, "
               f"{simulated} simulated)")
     print("refinement chain verified")
     return 0
@@ -727,10 +704,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint.registry import run_all, targets
+    from repro.lint.registry import run_all
+    from repro.specs.chain import CHAIN
 
     if args.system:
-        known = [t.name for t in targets()]
+        known = [system.name for system in CHAIN]
         unknown = [name for name in args.system if name not in known]
         if unknown:
             print(f"error: unknown system(s) {', '.join(unknown)}; "

@@ -30,9 +30,15 @@ from repro.sim.driver import NodeDriver
 from repro.sim.kernel import Simulator
 from repro.sim.network import DelayModel, Network
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "PROTOCOLS"]
 
 CoreFactory = Callable[[int, ProtocolConfig], ProtocolCore]
+
+#: The executable protocols every sweep, lint and fuzz surface offers, in
+#: a fixed order (fuzz draws index into it).  ``stabilizing`` is
+#: registered too but kept out, so those draws stay pinned.
+PROTOCOLS = ("ring", "linear_search", "binary_search", "directed_search",
+             "push", "hybrid", "fault_tolerant")
 
 
 def _registry() -> Dict[str, CoreFactory]:

@@ -38,7 +38,14 @@ from repro.metrics.keyed import KeyedMetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.network import DelayModel
 
-__all__ = ["TokenFabric"]
+__all__ = ["TokenFabric", "derive_lane_seed"]
+
+
+def derive_lane_seed(seed: int, key: str) -> int:
+    """Deterministic per-key lane seed: stable across runs and key order.
+    Every fabric backend derives it this way, so the DES, array-compiled
+    and asyncio fabrics build the same lane for the same seed and key."""
+    return zlib.crc32(f"{seed}|{key}".encode("utf-8"))
 
 
 class TokenFabric:
@@ -78,8 +85,8 @@ class TokenFabric:
         return self._keys
 
     def lane_seed(self, key: str) -> int:
-        """Deterministic per-key seed: stable across runs and key order."""
-        return zlib.crc32(f"{self.seed}|{key}".encode("utf-8"))
+        """Deterministic per-key seed (:func:`derive_lane_seed`)."""
+        return derive_lane_seed(self.seed, key)
 
     def add_key(
         self,

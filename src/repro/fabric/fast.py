@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError, FastSimUnsupportedError, SimulationError
+from repro.fabric.fabric import derive_lane_seed
 from repro.fastsim.cluster import FastCluster
 from repro.metrics.keyed import KeyedMetricsRegistry
 from repro.sim.network import DelayModel
@@ -58,9 +59,8 @@ class FastFabric:
         return self._keys
 
     def lane_seed(self, key: str) -> int:
-        """Same derivation as ``TokenFabric.lane_seed`` — the two backends
-        build bit-identical lanes for the same fabric seed and key."""
-        return zlib.crc32(f"{self.seed}|{key}".encode("utf-8"))
+        """Deterministic per-key seed (:func:`derive_lane_seed`)."""
+        return derive_lane_seed(self.seed, key)
 
     def add_key(
         self,

@@ -21,6 +21,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
+from repro.core.cluster import PROTOCOLS as IMPL_PROTOCOLS
 from repro.errors import ConfigError
 from repro.faults.corruption import CORRUPTION_KINDS
 from repro.faults.vocabulary import FABRIC_OPS, IMPL_OPS, check_faults
@@ -31,6 +32,7 @@ from repro.sim.network import (
     ExponentialDelay,
     UniformDelay,
 )
+from repro.specs.chain import CHAIN
 
 __all__ = [
     "SCHEMA",
@@ -46,19 +48,9 @@ __all__ = [
 
 SCHEMA = "repro-fuzz-case/v1"
 
-#: Impl-level protocols eligible for fuzzing (every registered core).
-IMPL_PROTOCOLS = (
-    "ring",
-    "linear_search",
-    "binary_search",
-    "directed_search",
-    "push",
-    "hybrid",
-    "fault_tolerant",
-)
-
-#: Spec-level systems eligible for random-reduction fuzzing.
-SPEC_SYSTEMS = ("S", "S1", "Tok", "MP", "Srch", "BS")
+#: Spec-level systems eligible for random-reduction fuzzing: the chain's
+#: state functors, in chain order.
+SPEC_SYSTEMS = tuple(system.state for system in CHAIN)
 
 #: profile -> what the generator draws.  ``mixed`` alternates per index
 #: (it predates the fabric and stabilize kinds and deliberately excludes

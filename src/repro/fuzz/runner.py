@@ -26,6 +26,7 @@ from repro.fuzz.rng import derive_seed
 from repro.lint import LintViolation
 from repro.lint.sanitizer import SanitizedRewriter
 from repro.metrics.tracing import TraceRecorder
+from repro.specs.chain import CHAIN
 
 __all__ = ["FuzzResult", "run_case", "fuzz_run"]
 
@@ -276,30 +277,13 @@ def _run_fabric(case: FuzzCase) -> FuzzResult:
 # Spec-level execution
 # ---------------------------------------------------------------------------
 
-def _system_module(name: str):
-    from repro.specs import (
-        system_binary_search,
-        system_message_passing,
-        system_s,
-        system_s1,
-        system_search,
-        system_token,
-    )
-    return {
-        "S": system_s,
-        "S1": system_s1,
-        "Tok": system_token,
-        "MP": system_message_passing,
-        "Srch": system_search,
-        "BS": system_binary_search,
-    }[name]
-
-
 def _run_spec(case: FuzzCase, system_factory: Optional[Callable] = None) -> FuzzResult:
     if system_factory is not None:
         rewriter, initial = system_factory(case)
     else:
-        rewriter, initial = _system_module(case.system).make_system(case.n)
+        module = next(system.module for system in CHAIN
+                      if system.state == case.system)
+        rewriter, initial = module.make_system(case.n)
     # Re-wrap so every single transition is audited, whatever the ambient
     # REPRO_SANITIZE_EVERY setting says.
     sanitized = SanitizedRewriter(rewriter.ruleset, rewriter.ctx, every=1)

@@ -18,7 +18,7 @@ emits a human or JSON report; see :mod:`repro.lint.registry`.
 
 from repro.lint.findings import LintFinding, LintReport, LintViolation, Severity
 from repro.lint.refinement import check_restriction, check_simulation
-from repro.lint.registry import run_all, run_dynamic, run_static, targets
+from repro.lint.registry import run_all, run_dynamic, run_static
 from repro.lint.rules import lint_rules, sample_states
 from repro.lint.sanitizer import (
     ClusterSanitizer,
@@ -43,5 +43,4 @@ __all__ = [
     "sample_states",
     "sanitize_enabled",
     "sanitize_every",
-    "targets",
 ]

@@ -37,11 +37,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.errors import RuleError
 from repro.lint.findings import LintFinding, Severity
+from repro.specs.modelcheck import sample_states
 from repro.trs.matching import match
 from repro.trs.rules import Rule, RuleContext, RuleSet
 from repro.trs.terms import Term
 
-__all__ = ["lint_rules", "sample_states"]
+__all__ = ["RecordingBinding", "lint_rules", "sample_states"]
 
 #: Cap on the number of bindings probed per (rule, state) and on the
 #: number of choice expansions consumed per binding — lint cost control.
@@ -49,27 +50,27 @@ MAX_PROBES_PER_STATE = 16
 MAX_CHOICES = 64
 
 
-class _RecordingBinding(dict):
+class RecordingBinding(dict):
     """A binding dict that records which keys a callable reads.
 
     Bulk reads (iteration, ``values``, ``items``) count as reading every
     key — e.g. ``next_nonce`` scans all bound values, which legitimately
-    uses every binder.
+    uses every binder.  Shared with :mod:`repro.verify.footprint`.
     """
 
     def __init__(self, data: Dict[str, Term], accessed: Set[str]) -> None:
         super().__init__(data)
         self._accessed = accessed
 
-    def __getitem__(self, key):
+    def __getitem__(self, key: str) -> Term:
         self._accessed.add(key)
         return super().__getitem__(key)
 
-    def get(self, key, default=None):
+    def get(self, key: str, default: object = None) -> object:
         self._accessed.add(key)
         return super().get(key, default)
 
-    def _touch_all(self):
+    def _touch_all(self) -> None:
         self._accessed.update(super().keys())
 
     def __iter__(self):
@@ -84,39 +85,8 @@ class _RecordingBinding(dict):
         self._touch_all()
         return super().items()
 
-    def copy(self):
-        return _RecordingBinding(dict(self), self._accessed)
-
-
-def sample_states(
-    ruleset: RuleSet,
-    initial: Term,
-    max_states: int = 2_000,
-    ctx: Optional[RuleContext] = None,
-) -> List[Term]:
-    """Breadth-first sample of states reachable from ``initial``.
-
-    Pass a *bounded* rule set (see :mod:`repro.specs.modelcheck`) so the
-    sample terminates; its states are genuine states of the full system.
-    """
-    from repro.trs.engine import Rewriter
-
-    rewriter = Rewriter(ruleset, ctx or RuleContext())
-    seen = {initial}
-    order = [initial]
-    frontier = [initial]
-    cursor = 0  # list + cursor: pop(0) is O(n) per dequeue
-    while cursor < len(frontier) and len(seen) < max_states:
-        state = frontier[cursor]
-        cursor += 1
-        for _, succ in rewriter.successors(state):
-            if succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-                frontier.append(succ)
-                if len(seen) >= max_states:
-                    break
-    return order
+    def copy(self) -> "RecordingBinding":
+        return RecordingBinding(dict(self), self._accessed)
 
 
 def lint_rules(
@@ -258,19 +228,19 @@ def _probe_binding(
         expansions = [dict(binding)]
     else:
         expansions = []
-        recorded = _RecordingBinding(binding, accessed)
+        recorded = RecordingBinding(binding, accessed)
         for extra in islice(rule.choices(recorded, ctx), MAX_CHOICES):
             merged = dict(binding)
             merged.update(extra)
             expansions.append(merged)
     for expanded in expansions:
         if rule.guard is not None:
-            if not rule.guard(_RecordingBinding(expanded, accessed), ctx):
+            if not rule.guard(RecordingBinding(expanded, accessed), ctx):
                 continue
         enabled_count[rule.name] += 1
         if rule.where is not None:
             # Record the where-clause's reads on a shadow run...
-            rule.where(_RecordingBinding(expanded, accessed), RuleContext())
+            rule.where(RecordingBinding(expanded, accessed), RuleContext())
         try:
             # ...then apply for real to validate groundness/binding.
             rule.apply(state, expanded, RuleContext())

@@ -15,9 +15,13 @@ Six systems, in refinement order (Sections 3–4):
 :mod:`repro.specs.properties` machine-checks the prefix property and token
 uniqueness; :mod:`repro.specs.refinement` machine-checks the Lemma 1–3 /
 Theorem 1 refinement mappings along concrete reductions.
+:mod:`repro.specs.chain` records the chain once — one row per system with
+its bounds, properties and refinement edge — for verify, lint,
+``repro refinement`` and spec fuzzing.
 """
 
 from repro.specs import (
+    chain,
     common,
     modelcheck,
     properties,
@@ -37,6 +41,7 @@ from repro.specs.properties import (
 from repro.specs.refinement import check_refinement
 
 __all__ = [
+    "chain",
     "check_refinement",
     "common",
     "modelcheck",

@@ -12,17 +12,18 @@ of the unbounded system, and within the bound the verification is
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Optional
+from typing import Any, Callable, Iterable, List, Mapping, NamedTuple, Optional
 
 from repro.errors import SpecError
 from repro.specs.common import next_nonce
 from repro.trs.engine import Rewriter
-from repro.trs.rules import RuleSet
+from repro.trs.rules import RuleContext, RuleSet
 from repro.trs.terms import Seq, Struct, Term
 
-__all__ = ["CheckResult", "GraphResult", "bound_data", "bound_requests",
-           "bound_visits", "bound_visits_soft",
-           "explore", "explore_graph", "check_goal_always_reachable"]
+__all__ = ["CheckResult", "GraphResult", "BOUND_KEYS", "apply_bounds",
+           "bound_data", "bound_requests", "bound_visits", "bound_visits_soft",
+           "sample_states", "explore", "explore_graph",
+           "check_goal_always_reachable"]
 
 
 class CheckResult(NamedTuple):
@@ -152,6 +153,62 @@ def bound_visits_soft(rules: RuleSet, limit: int,
         return _count_visits(binding["H"]) < limit or _pending_data(binding)
 
     return rules.replaced(rules[rule_name].restricted(guard=guard))
+
+
+#: The keys a bounds record may hold (see :func:`apply_bounds`).
+BOUND_KEYS = ("data_per_node", "data_nodes", "single_outstanding_request",
+              "visit_limit")
+
+
+def apply_bounds(rules: RuleSet, bounds: Mapping[str, Any]) -> RuleSet:
+    """The bounded rule set a bounds record describes:
+
+    - ``data_per_node`` (optionally only at ``data_nodes``) —
+      :func:`bound_data` on rule 1;
+    - ``single_outstanding_request`` — :func:`bound_requests` on rule 5;
+    - ``visit_limit`` — :func:`bound_visits` on rule 4.
+
+    An unknown key raises :class:`SpecError`, so a record cannot carry a
+    bound that is not applied."""
+    unknown = sorted(set(bounds) - set(BOUND_KEYS))
+    if unknown:
+        raise SpecError(f"unknown bound(s) {unknown}; expected {BOUND_KEYS}")
+    if "data_per_node" in bounds:
+        rules = bound_data(rules, bounds["data_per_node"],
+                           nodes=bounds.get("data_nodes"))
+    if bounds.get("single_outstanding_request"):
+        rules = bound_requests(rules, "5")
+    if "visit_limit" in bounds:
+        rules = bound_visits(rules, bounds["visit_limit"], "4")
+    return rules
+
+
+def sample_states(
+    ruleset: RuleSet,
+    initial: Term,
+    max_states: int = 2_000,
+    ctx: Optional[RuleContext] = None,
+) -> List[Term]:
+    """Breadth-first sample of states reachable from ``initial``, in BFS
+    order, stopping at ``max_states``.
+
+    Pass a *bounded* rule set so the sample terminates; its states are
+    genuine states of the full system.
+    """
+    rewriter = Rewriter(ruleset, ctx or RuleContext())
+    seen = {initial}
+    order = [initial]
+    cursor = 0  # list + cursor: pop(0) is O(n) per dequeue
+    while cursor < len(order) and len(seen) < max_states:
+        state = order[cursor]
+        cursor += 1
+        for _, succ in rewriter.successors(state):
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+                if len(seen) >= max_states:
+                    break
+    return order
 
 
 def explore(

@@ -28,8 +28,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import VerifyError
+from repro.lint.rules import RecordingBinding
 from repro.trs.rules import Rule, RuleContext, RuleSet
-from repro.trs.terms import Bag, Seq, Struct, Term, Var, variables_of
+from repro.trs.terms import Bag, Struct, Term, Var, variables_of
 
 __all__ = [
     "FRAME", "READ", "WRITE",
@@ -227,41 +228,6 @@ def footprints(ruleset: RuleSet) -> Dict[str, RuleFootprint]:
     return {rule.name: footprint_of(rule) for rule in ruleset}
 
 
-class _RecordingBinding(dict):
-    """A binding that records which keys a callable reads (bulk reads —
-    iteration, ``values``, ``items`` — count as reading every key)."""
-
-    def __init__(self, data: Dict[str, Term], accessed: Set[str]) -> None:
-        super().__init__(data)
-        self._accessed = accessed
-
-    def __getitem__(self, key: str) -> Term:
-        self._accessed.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key: str, default: object = None) -> object:
-        self._accessed.add(key)
-        return super().get(key, default)
-
-    def _touch_all(self) -> None:
-        self._accessed.update(super().keys())
-
-    def __iter__(self):
-        self._touch_all()
-        return super().__iter__()
-
-    def values(self):
-        self._touch_all()
-        return super().values()
-
-    def items(self):
-        self._touch_all()
-        return super().items()
-
-    def copy(self) -> "_RecordingBinding":
-        return _RecordingBinding(dict(self), self._accessed)
-
-
 def probe_callable_reads(
     fp: RuleFootprint,
     states: Iterable[Term],
@@ -288,7 +254,7 @@ def probe_callable_reads(
                 break
             probes += 1
             accessed: Set[str] = set()
-            recorder = _RecordingBinding(dict(binding), accessed)
+            recorder = RecordingBinding(dict(binding), accessed)
             try:
                 if rule.guard is not None:
                     rule.guard(recorder, ctx)

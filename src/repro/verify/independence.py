@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.specs.modelcheck import sample_states
 from repro.trs.engine import Rewriter
 from repro.trs.rules import RuleContext, RuleSet
 from repro.trs.terms import Bag, Seq, Struct, Term, Var, Wildcard
@@ -346,23 +347,6 @@ def check_commutation(
     return None
 
 
-def _sample_states(rewriter: Rewriter, initial: Term,
-                   max_states: int) -> List[Term]:
-    seen = {initial}
-    order = [initial]
-    cursor = 0
-    while cursor < len(order) and len(seen) < max_states:
-        state = order[cursor]
-        cursor += 1
-        for _, succ in rewriter.successors(state):
-            if succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-                if len(seen) >= max_states:
-                    break
-    return order
-
-
 def validate_relation(
     rewriter: Rewriter,
     relation: IndependenceRelation,
@@ -376,7 +360,8 @@ def validate_relation(
     its ambiguity assumptions) holds on the sampled coverage."""
     violations: List[Dict[str, str]] = []
     checks = 0
-    for state in _sample_states(rewriter, initial, max_states):
+    for state in sample_states(rewriter.ruleset, initial, max_states,
+                               rewriter.ctx):
         instances = enumerate_instances(rewriter, relation, state)
         for i, ia in enumerate(instances):
             for ib in instances[i + 1:]:

@@ -1,132 +1,31 @@
 """Registry of verifiable systems for ``repro verify``.
 
-Each :class:`VerifySystem` packages, for one system of the refinement
-chain, everything the verifier needs *per instance size*: the rule set,
-the initial state, the Section-4 bounding restrictions that make
-exhaustive exploration terminate, which safety properties apply, and
-whether the system is a unidirectional token-passing ring (the topology
-the cutoff table of :mod:`repro.verify.cutoff` is stated for).
+A view of the refinement chain table :data:`repro.specs.chain.CHAIN`,
+keyed by verify key.  Each row gives, *per instance size n*, the bounded
+rule set, the initial state, which safety properties apply, and whether
+the system is a unidirectional token-passing ring (the topology the
+cutoff table of :mod:`repro.verify.cutoff` is stated for).
 
-The bounds mirror the lint registry's sampling bounds but are
-*parameterized by ring size n* — cutoff certification re-explores the
-same system at every n up to the cutoff.
+Each row records two bound sets, both applied by
+:func:`repro.specs.modelcheck.apply_bounds`:
+
+- ``bounds`` — what ``repro verify`` explores at every ring size up to
+  the cutoff, and what each verdict records;
+- ``lint_bounds`` — what ``repro lint`` samples at its one size
+  ``lint_n``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.errors import VerifyError
-from repro.specs import (system_binary_search, system_message_passing,
-                         system_s, system_s1, system_search, system_token)
-from repro.specs.modelcheck import bound_data, bound_requests, bound_visits
-from repro.trs.rules import RuleSet
-from repro.trs.terms import Term
+from repro.specs.chain import CHAIN
+from repro.specs.chain import SpecSystem as VerifySystem
 
 __all__ = ["VerifySystem", "SYSTEMS", "get_system", "system_names"]
 
-
-class VerifySystem:
-    """One system of the chain, packaged for verification."""
-
-    def __init__(
-        self,
-        key: str,
-        title: str,
-        ring: bool,
-        bounded: Callable[[int], RuleSet],
-        initial: Callable[[int], Term],
-        properties: Tuple[str, ...],
-        bounds: Optional[Dict[str, object]] = None,
-        default_n: int = 3,
-        cert_max_states: int = 200_000,
-    ) -> None:
-        self.key = key
-        self.title = title
-        #: True for the unidirectional token-passing ring systems — the
-        #: topology the cutoff table applies to.
-        self.ring = ring
-        self.bounded = bounded      #: n -> bounded RuleSet
-        self.initial = initial      #: n -> initial state
-        self.properties = properties
-        #: machine-readable record of the Section-4 guard narrowings the
-        #: bounded rule set applies (goes into verdict artifacts).
-        self.bounds = dict(bounds or {})
-        self.default_n = default_n
-        self.cert_max_states = cert_max_states
-
-
-def _bs_bounded(n: int) -> RuleSet:
-    rules = system_binary_search.make_rules(n, restricted=True)
-    rules = bound_data(rules, 1, nodes=(1,))
-    rules = bound_requests(rules, "5")
-    return bound_visits(rules, 5, "4")
-
-
-def _search_bounded(n: int) -> RuleSet:
-    # No visit bound: Search's circulation (rule 4') extends the history
-    # only when broadcasting pending data, which bound_data already caps.
-    rules = system_search.make_rules(n, restricted=True)
-    rules = bound_data(rules, 1, nodes=(1,))
-    return bound_requests(rules, "5")
-
-
-SYSTEMS: Dict[str, VerifySystem] = {
-    s.key: s for s in (
-        VerifySystem(
-            "s", "System S (centralized)", ring=False,
-            bounded=lambda n: bound_data(
-                system_s.make_rules(restricted=True), 1),
-            initial=system_s.initial_state,
-            properties=("prefix-property",),
-            bounds={"data_per_node": 1},
-        ),
-        VerifySystem(
-            "s1", "System S1 (local histories)", ring=False,
-            bounded=lambda n: bound_data(
-                system_s1.make_rules(restricted=True), 1),
-            initial=system_s1.initial_state,
-            properties=("prefix-property",),
-            bounds={"data_per_node": 1},
-        ),
-        VerifySystem(
-            "token", "System Token (circulating token)", ring=True,
-            bounded=lambda n: bound_data(
-                system_token.make_rules(n, ring=True), 1),
-            initial=system_token.initial_state,
-            properties=("prefix-property",),
-            bounds={"data_per_node": 1},
-        ),
-        VerifySystem(
-            "message_passing", "System MP (token messages)", ring=True,
-            bounded=lambda n: bound_data(
-                system_message_passing.make_rules(n, ring=True), 1,
-                nodes=(1,)),
-            initial=system_message_passing.initial_state,
-            properties=("prefix-property", "token-uniqueness"),
-            bounds={"data_per_node": 1, "data_nodes": [1]},
-        ),
-        VerifySystem(
-            "search", "System Search (linear gimme search)", ring=True,
-            bounded=_search_bounded,
-            initial=system_search.initial_state,
-            properties=("prefix-property", "token-uniqueness",
-                        "search-direction"),
-            bounds={"data_per_node": 1, "data_nodes": [1],
-                    "single_outstanding_request": True},
-        ),
-        VerifySystem(
-            "binary_search", "System BinarySearch (Figure 8)", ring=True,
-            bounded=_bs_bounded,
-            initial=system_binary_search.initial_state,
-            properties=("prefix-property", "token-uniqueness",
-                        "search-direction"),
-            bounds={"data_per_node": 1, "data_nodes": [1],
-                    "single_outstanding_request": True,
-                    "visit_limit": 5},
-        ),
-    )
-}
+SYSTEMS: Dict[str, VerifySystem] = {system.key: system for system in CHAIN}
 
 
 def system_names() -> List[str]:

@@ -17,7 +17,7 @@ from repro.specs import (
     system_search as srch,
     system_token,
 )
-from repro.specs.modelcheck import (bound_data, bound_requests,
+from repro.specs.modelcheck import (apply_bounds, bound_data, bound_requests,
                                     bound_visits, explore, explore_graph)
 from repro.specs.properties import prefix_property, token_uniqueness
 from repro.trs.engine import Rewriter
@@ -128,6 +128,11 @@ class TestMachinery:
             explore(rw, init, [bogus], names=["empty-history"])
         assert "empty-history" in str(err.value)
         assert "rule" in str(err.value)
+
+    def test_apply_bounds_rejects_an_unknown_bound(self):
+        # A record cannot carry a bound that is silently not applied.
+        with pytest.raises(SpecError, match="visits"):
+            apply_bounds(system_s.make_rules(), {"visits": 3})
 
     def test_incomplete_flag_when_capped(self):
         rw, init = build(system_s1.make_rules(), system_s1.initial_state(3), 3)

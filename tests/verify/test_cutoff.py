@@ -1,6 +1,7 @@
 """Cutoff certification and verdict artifacts (repro.verify.cutoff)."""
 
 import copy
+import dataclasses
 import glob
 import json
 import os
@@ -8,7 +9,9 @@ import os
 import pytest
 
 from repro.errors import VerifyError
-from repro.verify import cutoff
+from repro.specs.modelcheck import explore
+from repro.trs.engine import Rewriter
+from repro.verify import cutoff, get_system
 from repro.verify.cutoff import (CUTOFFS, SCHEMA, TOPOLOGY, certify,
                                  certify_system, check_verdict,
                                  check_verdicts, load_verdict, sign,
@@ -71,6 +74,21 @@ class TestCertify:
     def test_inapplicable_property_rejected(self):
         with pytest.raises(VerifyError, match="not applicable"):
             certify("token", "token-uniqueness")
+
+
+class TestRecordedBounds:
+    def test_recorded_bounds_drive_the_exploration(self):
+        # A verdict's ``bounds`` is the bound set its exploration applied:
+        # lowering the recorded visit limit shrinks the explored space.
+        system = get_system("binary_search")
+        tighter = dataclasses.replace(
+            system, bounds=dict(system.bounds, visit_limit=3))
+
+        def reached(entry):
+            rewriter = Rewriter(entry.bounded(3))
+            return explore(rewriter, entry.initial(3), []).states
+
+        assert reached(tighter) < reached(system)
 
 
 def _signed_body(verdict):
