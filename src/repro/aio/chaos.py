@@ -13,7 +13,9 @@ with the :class:`~repro.aio.oracle.AioInvariantOracle` attached and
 demands **bounded recovery**: every scheduled acquire must be granted
 within ``recovery_window`` virtual seconds of the later of its issue time
 and the last injected fault.  A run fails on an oracle violation, a dead
-node coroutine, or an unrecovered acquire.
+node coroutine, or an unrecovered acquire.  A run that injects corruption
+attaches no oracle; it fails instead when more than one token is at rest
+at the horizon or a final probe acquire is not granted.
 
 Determinism contract: the same case always produces the same
 :class:`ChaosResult`, including the CRC32 checksum over the logical
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aio.cluster import AioCluster
-from repro.aio.oracle import AioInvariantOracle, CorruptionTolerantOracle
+from repro.aio.oracle import AioInvariantOracle
 from repro.aio.reliability import ReliabilityConfig
 from repro.aio.runtime import apply_fault, service_config, tokens_at_rest
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
@@ -139,9 +141,12 @@ async def _execute(case: ChaosCase) -> ChaosResult:
         # illegal states; convergence is the corrupt run's verdict.
         sanitize=False if corrupting else None,
     )
-    oracle_cls = CorruptionTolerantOracle if corrupting else AioInvariantOracle
-    oracle = oracle_cls(cluster, protocol=case.protocol)
-    oracle.attach()
+    # A corrupted history breaks every oracle check by construction; a
+    # corrupt run is judged by the convergence verdict below instead.
+    oracle: Optional[AioInvariantOracle] = None
+    if not corrupting:
+        oracle = AioInvariantOracle(cluster, protocol=case.protocol)
+        oracle.attach()
     supervisor = ClusterSupervisor(cluster, RestartPolicy(
         restart_delay=20.0 * case.delay,
         heartbeat_interval=5.0 * case.delay,
@@ -208,7 +213,7 @@ async def _execute(case: ChaosCase) -> ChaosResult:
             await asyncio.sleep(settle)
 
     violation: Optional[Dict] = None
-    if corrupting and oracle.violation is None:
+    if corrupting:
         # Convergence verdict, two halves.  Reduction: at most one token
         # at rest (the census is blind to in-flight copies, so only > 1
         # is a breach at the cut).  Liveness: a probe acquire must still
@@ -228,7 +233,7 @@ async def _execute(case: ChaosCase) -> ChaosResult:
                     "type": "OracleViolation", "invariant": "convergence",
                     "detail": "post-corruption probe acquire timed out: "
                               "the token never came back"}
-    if oracle.violation is not None:
+    if oracle is not None and oracle.violation is not None:
         exc = oracle.violation
         violation = {"type": "OracleViolation", "invariant": exc.invariant,
                      "detail": exc.detail,

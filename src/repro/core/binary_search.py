@@ -30,36 +30,27 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional, Tuple
 
-from repro.core.base import ProtocolCore
 from repro.core.config import GC_INVERSE, GC_ROTATION, ProtocolConfig
-from repro.core.effects import CancelTimer, Deliver, Effect, Send, SetTimer
+from repro.core.effects import Deliver, Effect, Send, SetTimer
 from repro.core.messages import GimmeMsg, LoanMsg, LoanReturnMsg, TokenMsg
+from repro.core.ring import RingCore
 from repro.core.traps import TrapStore
 from repro.errors import ProtocolError
 
 __all__ = ["BinarySearchCore"]
 
-_FWD = "forward"
-_REL = "release"
 _RETRY = "retry"
 
 
-class BinarySearchCore(ProtocolCore):
+class BinarySearchCore(RingCore):
     """Per-node state machine of the adaptive binary-search protocol."""
 
     protocol_name = "binary_search"
 
     def __init__(self, node_id: int, config: ProtocolConfig,
                  initial_holder: int = 0) -> None:
-        super().__init__(node_id, config)
-        self.has_token = node_id == initial_holder
+        super().__init__(node_id, config, initial_holder)
         self.lent_to: Optional[int] = None
-        self.clock = 0
-        self.round_no = 0
-        self.last_visit = 0 if self.has_token else -1
-        self.ready = False
-        self.req_seq = 0
-        self.granted_seq = -1
         self.outstanding = False
         self.traps = TrapStore()
         self._served_carry: Tuple[Tuple[int, int], ...] = ()
@@ -74,9 +65,6 @@ class BinarySearchCore(ProtocolCore):
         # _served_carry (tests, subclasses) invalidate it automatically.
         self._sm_src: Optional[Tuple[Tuple[int, int], ...]] = None
         self._sm_map: dict = {}
-        self._parked = False
-        self._serving = False
-        self._demand_seen = False
         self._loan_pending: Optional[Tuple[int, Tuple[Tuple[int, int], ...]]] = None
         self._gimme_inflight = False
         self._gimme_queue: List[GimmeMsg] = []
@@ -84,47 +72,32 @@ class BinarySearchCore(ProtocolCore):
     # -- application interface -------------------------------------------------
 
     def on_request(self, now: float) -> List[Effect]:
-        """Become ready; serve locally when holding, else launch the search."""
-        self.ready = True
-        self.req_seq += 1
+        """Become ready; serve locally when holding, else launch the search.
+        Local demand, like a gimme, keeps the token from parking."""
         self._demand_seen = True
-        if self.has_token and not self._serving:
-            effects: List[Effect] = []
-            if self._parked:
-                self._parked = False
-                effects.append(CancelTimer(_FWD))
-            effects.extend(self._advance(now))
-            return effects
+        return super().on_request(now)
+
+    def _seek(self) -> List[Effect]:
         if self.lent_to is not None:
             return []  # served when the loan returns
         return self._launch_search()
 
     def on_release(self, now: float) -> List[Effect]:
         """Finish using a held grant (hold_until_release mode)."""
-        if not self._serving:
-            return []
+        if not self._serving or self._loan_pending is None:
+            return super().on_release(now)
+        # We were serving a loaned token: return it now.
         self._serving = False
-        effects: List[Effect] = [
-            Deliver("released", (self.node_id, self.granted_seq))
-        ]
-        if self._loan_pending is not None:
-            # We were serving a loaned token: return it now.
-            lender, carry = self._loan_pending
-            self._loan_pending = None
-            effects.append(Send(lender, LoanReturnMsg(
+        lender, carry = self._loan_pending
+        self._loan_pending = None
+        return [
+            Deliver("released", (self.node_id, self.granted_seq)),
+            Send(lender, LoanReturnMsg(
                 clock=self.clock, round_no=self.round_no, served=carry,
-                epoch=getattr(self, "epoch", 0))))
-            return effects
-        effects.extend(self._advance(now))
-        return effects
+                epoch=self._token_epoch())),
+        ]
 
     # -- protocol --------------------------------------------------------------
-
-    def on_start(self, now: float) -> List[Effect]:
-        if not self.has_token:
-            return []
-        return [Deliver("token_visit", (self.node_id, self.clock))] + \
-            self._advance(now)
 
     def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
         # Exact-type dispatch (message classes are final); isinstance
@@ -151,64 +124,28 @@ class BinarySearchCore(ProtocolCore):
         )
 
     def on_timer(self, key: Hashable, now: float) -> List[Effect]:
-        if key == _FWD:
-            if not (self.has_token and self._parked):
-                return []
-            self._parked = False
-            return self._forward()
-        if key == _REL:
-            return self.on_release(now)
         if isinstance(key, tuple) and key and key[0] == _RETRY:
             return self._on_retry(key[1])
-        return []
+        return super().on_timer(key, now)
 
     # -- token rotation ----------------------------------------------------------
 
     def _on_token(self, msg: TokenMsg, now: float) -> List[Effect]:
-        if self.has_token or self.lent_to is not None:
+        if self.lent_to is not None:
             raise ProtocolError(f"node {self.node_id} received a second token")
-        self.has_token = True
-        self.clock = msg.clock
-        self.round_no = msg.round_no
-        self.last_visit = msg.clock
+        return super()._on_token(msg, now)
+
+    def _adopt(self, msg: TokenMsg, now: float) -> List[Effect]:
         self._merge_served(msg.served)
         self._gc_traps()
-        effects: List[Effect] = [Deliver("token_visit", (self.node_id, self.clock))]
-        effects.extend(self._release_gimme_budget(now))
-        effects.extend(self._advance(now))
-        return effects
+        return self._release_gimme_budget(now)
 
-    def _advance(self, now: float) -> List[Effect]:
-        """Serve self, then FIFO traps (by loan), then rotate or park."""
-        if self._serving or not self.has_token:
-            return []
-        effects: List[Effect] = []
-        if self.ready:
-            self.ready = False
-            self.outstanding = False
-            self.granted_seq = self.req_seq
-            self._record_served(self.node_id, self.req_seq)
-            effects.append(Deliver("granted", (self.node_id, self.req_seq)))
-            if self.config.hold_until_release:
-                self._serving = True
-                return effects
-            if self.config.service_time > 0:
-                self._serving = True
-                effects.append(SetTimer(_REL, self.config.service_time))
-                return effects
-            effects.append(Deliver("released", (self.node_id, self.req_seq)))
-        loan = self._next_loan()
-        if loan is not None:
-            effects.extend(loan)
-            return effects
-        if self.config.idle_pause > 0 and not self._demand_seen:
-            self._parked = True
-            effects.append(SetTimer(_FWD, self.config.idle_pause))
-            return effects
-        effects.extend(self._forward())
-        return effects
+    def _grant(self) -> List[Effect]:
+        self.outstanding = False
+        self._record_served(self.node_id, self.req_seq)
+        return super()._grant()
 
-    def _next_loan(self) -> Optional[List[Effect]]:
+    def _hand_off(self) -> Optional[List[Effect]]:
         """Pop the next live trap and loan the token to its requester,
         returning the effects, or None when no live trap remains."""
         while True:
@@ -241,23 +178,12 @@ class BinarySearchCore(ProtocolCore):
             effects.extend(self._after_loan_sent(t.requester))
             return effects
 
-    def _forward(self) -> List[Effect]:
-        if self.ring_size() == 1:
-            return []  # a solitary node keeps its token
-        self.has_token = False
-        self._demand_seen = False
-        successor = self._rotation_successor()
-        if successor == self.node_id:
-            self.has_token = True
-            return []  # everyone else is suspected or gone
-        next_round = (
-            self.round_no + 1 if successor == self.ring_first() else self.round_no
-        )
-        return [Send(successor, TokenMsg(
-            clock=self.clock + 1, round_no=next_round,
+    def _token_msg(self, clock: int, round_no: int) -> TokenMsg:
+        return TokenMsg(
+            clock=clock, round_no=round_no,
             served=self._served_carry, epoch=self._token_epoch(),
             suspects=self._token_suspects(),
-        ))]
+        )
 
     # -- extension hooks (fault tolerance / dynamic membership) -----------------
 
@@ -268,10 +194,6 @@ class BinarySearchCore(ProtocolCore):
     def _token_suspects(self):
         """Suspect set piggybacked on the forwarded token (static: none)."""
         return ()
-
-    def _rotation_successor(self) -> int:
-        """Next hop of the circulation; overridden to skip suspects."""
-        return self.ring_succ()
 
     def _skip_requester(self, requester: int) -> bool:
         """Whether to drop traps for this requester (e.g. suspected dead)."""
@@ -303,21 +225,11 @@ class BinarySearchCore(ProtocolCore):
             return [Send(msg.lender, LoanReturnMsg(
                 clock=msg.clock, round_no=msg.round_no,
                 served=self._served_carry, epoch=msg.epoch))]
-        self.ready = False
-        self.outstanding = False
-        self.granted_seq = self.req_seq
-        self._record_served(self.node_id, self.req_seq)
-        effects: List[Effect] = [Deliver("granted", (self.node_id, self.req_seq))]
-        if self.config.hold_until_release:
-            self._serving = True
+        effects = self._grant()
+        if self._serving:
+            # Held or timed service: the loan returns on release.
             self._loan_pending = (msg.lender, self._served_carry)
             return effects
-        if self.config.service_time > 0:
-            self._serving = True
-            self._loan_pending = (msg.lender, self._served_carry)
-            effects.append(SetTimer(_REL, self.config.service_time))
-            return effects
-        effects.append(Deliver("released", (self.node_id, self.req_seq)))
         effects.append(Send(msg.lender, LoanReturnMsg(
             clock=msg.clock, round_no=msg.round_no,
             served=self._served_carry, epoch=msg.epoch)))
@@ -371,13 +283,7 @@ class BinarySearchCore(ProtocolCore):
         if self.has_token or self.lent_to is not None:
             # The search found the token('s owner): trap FIFO, serve when free.
             self.traps.add(msg.requester, msg.req_seq, msg.visit_stamp, msg.trail)
-            effects: List[Effect] = []
-            if self.has_token and not self._serving:
-                if self._parked:
-                    self._parked = False
-                    effects.append(CancelTimer(_FWD))
-                effects.extend(self._advance(now))
-            return effects
+            return self._wake(now)
         # Traps are stamped with the *requester's* visit stamp: the rotating
         # token reaches the requester within n clock ticks of that stamp, so
         # a trap older than that is provably obsolete (rotation GC).

@@ -83,12 +83,7 @@ class DirectedSearchCore(BinarySearchCore):
             prober=self.node_id, req_seq=msg.req_seq,
             last_visit=self.last_visit, has_token=holds,
         ))]
-        if self.has_token and not self._serving:
-            if self._parked:
-                self._parked = False
-                from repro.core.effects import CancelTimer
-                effects.append(CancelTimer("forward"))
-            effects.extend(self._advance(now))
+        effects.extend(self._wake(now))
         return effects
 
     # -- dispatch -------------------------------------------------------------------

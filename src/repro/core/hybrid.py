@@ -9,33 +9,32 @@ search when its knowledge is stale or absent.  Under load the token never
 parks, no adverts flow, and the protocol behaves exactly like
 System BinarySearch — the "fluid" virtual-root behaviour the conclusion
 describes.
+
+The holder side (advertise on park, stay parked while idle, trap direct
+requests, relay adverts) is :class:`~repro.core.push.PushCore`'s; the
+hybrid differs only in what a requester knows and does with it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.binary_search import BinarySearchCore
-from repro.core.effects import CancelTimer, Effect, Send
-from repro.core.messages import AdvertMsg, RequestMsg
-from repro.core.push import advert_fanout
+from repro.core.effects import Effect, Send
+from repro.core.messages import RequestMsg
+from repro.core.push import PushCore
 
 __all__ = ["HybridCore"]
 
-_FWD = "forward"
 
-
-class HybridCore(BinarySearchCore):
+class HybridCore(PushCore):
     """Pull by default; push advertisements while the token is parked."""
 
     protocol_name = "hybrid"
 
     def __init__(self, node_id: int, config, initial_holder: int = 0) -> None:
         super().__init__(node_id, config, initial_holder)
-        self.known_holder: Optional[int] = None
-        self.known_holder_clock = -1
-        self._advertised_clock = -1
-        self._requested_holder = -1
+        self.known_holder = None  # learned from adverts only
 
     # -- requester: direct request when knowledge is fresh, else pull ----------
 
@@ -54,75 +53,9 @@ class HybridCore(BinarySearchCore):
             return [Send(self.known_holder, RequestMsg(
                 requester=self.node_id, req_seq=self.req_seq,
             ))]
-        return super()._launch_search()
+        return BinarySearchCore._launch_search(self)
 
-    # -- holder: advertise on park ---------------------------------------------------
-
-    def _advance(self, now: float) -> List[Effect]:
-        effects = super()._advance(now)
-        if self.has_token and self._parked:
-            if self._advertised_clock != self.clock:
-                self._advertised_clock = self.clock
-                effects.extend(advert_fanout(
-                    self.node_id, self.n, self.node_id, self.clock, self.n,
-                ))
-        return effects
-
-    def on_timer(self, key, now: float) -> List[Effect]:
-        # While idle the hybrid acts as a parked virtual root (the "fluid"
-        # behaviour of the conclusion); demand un-parks it via _advance.
-        if (key == _FWD and self.has_token and self._parked
-                and not self._demand_seen):
-            from repro.core.effects import SetTimer
-            return [SetTimer(_FWD, self.config.idle_pause)]
-        return super().on_timer(key, now)
-
-    def _on_request_msg(self, msg: RequestMsg, now: float) -> List[Effect]:
-        self._demand_seen = True
-        if msg.requester == self.node_id:
-            return []
-        if self._is_served(msg.requester, msg.req_seq):
-            return []
-        self.traps.add(msg.requester, msg.req_seq,
-                       max(msg.visit_stamp, self.last_visit - self.ring_size()))
-        effects: List[Effect] = []
-        if self.has_token and not self._serving:
-            if self._parked:
-                self._parked = False
-                effects.append(CancelTimer(_FWD))
-            effects.extend(self._advance(now))
-        return effects
-
-    def _on_advert(self, msg: AdvertMsg, now: float) -> List[Effect]:
-        effects: List[Effect] = []
-        if msg.clock >= self.known_holder_clock:
-            self.known_holder = msg.holder
-            self.known_holder_clock = msg.clock
-        effects.extend(advert_fanout(
-            self.node_id, self.n, msg.holder, msg.clock, msg.span,
-        ))
-        resend = (
-            self.ready
-            and msg.holder != self.node_id
-            and (not self.outstanding or msg.holder != self._requested_holder)
-        )
-        if resend:
-            # Fresh advert: the root moved since our last request, so the
-            # old request is parked as a trap somewhere behind it.  Ask the
-            # new root directly (cheap, idempotent — traps dedupe by seq).
-            self.outstanding = True
-            self._requested_holder = msg.holder
-            effects.append(Send(msg.holder, RequestMsg(
-                requester=self.node_id, req_seq=self.req_seq,
-                visit_stamp=self.last_visit,
-            )))
-        return effects
-
-    # -- dispatch -----------------------------------------------------------------------
-
-    def on_message(self, src: int, msg: object, now: float) -> List[Effect]:
-        if isinstance(msg, RequestMsg):
-            return self._on_request_msg(msg, now)
-        if isinstance(msg, AdvertMsg):
-            return self._on_advert(msg, now)
-        return super().on_message(src, msg, now)
+    def _adopt(self, msg, now: float) -> List[Effect]:
+        # A token arrival teaches the hybrid nothing about the holder: its
+        # knowledge comes from adverts only.
+        return BinarySearchCore._adopt(self, msg, now)

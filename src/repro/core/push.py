@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.binary_search import BinarySearchCore
-from repro.core.effects import CancelTimer, Effect, Send
+from repro.core.effects import Effect, Send, SetTimer
 from repro.core.messages import AdvertMsg, RequestMsg
 
 __all__ = ["PushCore", "advert_fanout"]
@@ -58,7 +58,6 @@ class PushCore(BinarySearchCore):
         super().__init__(node_id, config, initial_holder)
         self.known_holder: Optional[int] = initial_holder
         self.known_holder_clock = -1
-        self._receipts = 0
         self._advertised_clock = -1
         self._requested_holder = -1
 
@@ -85,8 +84,7 @@ class PushCore(BinarySearchCore):
         if self.has_token and self._parked:
             # We just parked: become the virtual root.  Advertise once per
             # parking spot (re-parking at the same clock stays silent).
-            if (self._advertised_clock != self.clock
-                    and self._receipts % self.config.advert_every == 0):
+            if self._advertised_clock != self.clock:
                 self._advertised_clock = self.clock
                 effects.extend(advert_fanout(
                     self.node_id, self.n, self.node_id, self.clock, self.n,
@@ -98,15 +96,13 @@ class PushCore(BinarySearchCore):
         # point of push mode is that requests come to the root.
         if (key == _FWD and self.has_token and self._parked
                 and not self._demand_seen):
-            from repro.core.effects import SetTimer
             return [SetTimer(_FWD, self.config.idle_pause)]
         return super().on_timer(key, now)
 
-    def _on_token(self, msg, now: float) -> List[Effect]:
-        self._receipts += 1
+    def _adopt(self, msg, now: float) -> List[Effect]:
         self.known_holder = self.node_id
         self.known_holder_clock = msg.clock
-        return super()._on_token(msg, now)
+        return super()._adopt(msg, now)
 
     def _on_request_msg(self, msg: RequestMsg, now: float) -> List[Effect]:
         self._demand_seen = True
@@ -116,13 +112,7 @@ class PushCore(BinarySearchCore):
             return []
         self.traps.add(msg.requester, msg.req_seq,
                        max(msg.visit_stamp, self.last_visit - self.ring_size()))
-        effects: List[Effect] = []
-        if self.has_token and not self._serving:
-            if self._parked:
-                self._parked = False
-                effects.append(CancelTimer(_FWD))
-            effects.extend(self._advance(now))
-        return effects
+        return self._wake(now)
 
     def _on_advert(self, msg: AdvertMsg, now: float) -> List[Effect]:
         effects: List[Effect] = []

@@ -6,7 +6,8 @@ listener), an :class:`~repro.aio.cluster.AioCluster` with the
 fault-tolerant runtime (ARQ reliability, supervision, phi-accrual
 detection) attached **unchanged**, the
 :class:`~repro.aio.oracle.AioInvariantOracle` observing every logical
-send, a :class:`~repro.wire.server.LockServiceServer` on its own port,
+send (except in runs that inject corruption, which are judged by
+convergence), a :class:`~repro.wire.server.LockServiceServer` on its own port,
 and a closed-loop :class:`~repro.wire.client.LoadGenerator` hammering it
 over loopback TCP.  Optionally a chaos-style fault schedule (crash /
 partition / heal / connection reset, all at the socket layer) runs
@@ -27,7 +28,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.aio.cluster import AioCluster
-from repro.aio.oracle import AioInvariantOracle, CorruptionTolerantOracle
+from repro.aio.oracle import AioInvariantOracle
 from repro.aio.reliability import ReliabilityConfig
 from repro.aio.runtime import apply_fault, service_config, tokens_at_rest
 from repro.aio.supervisor import ClusterSupervisor, RestartPolicy
@@ -72,9 +73,12 @@ async def _run(
         # sanitizer; a corruption run's verdict is convergence instead.
         sanitize=False if corrupting else None,
     )
-    oracle_cls = CorruptionTolerantOracle if corrupting else AioInvariantOracle
-    oracle = oracle_cls(cluster, protocol=protocol)
-    oracle.attach()
+    # A corrupted history breaks every oracle check by construction; a
+    # corrupt run is judged by convergence at teardown instead.
+    oracle: Optional[AioInvariantOracle] = None
+    if not corrupting:
+        oracle = AioInvariantOracle(cluster, protocol=protocol)
+        oracle.attach()
     supervisor: Optional[ClusterSupervisor] = None
     if supervise:
         supervisor = ClusterSupervisor(cluster, RestartPolicy(
@@ -105,7 +109,7 @@ async def _run(
         await server.stop()
 
     violation: Optional[Dict[str, str]] = None
-    if oracle.violation is not None:
+    if oracle is not None and oracle.violation is not None:
         exc = oracle.violation
         violation = {"invariant": exc.invariant, "detail": exc.detail}
 

@@ -1,11 +1,20 @@
 """Sans-IO unit tests for RingCore: the effects are inspected directly,
-no scheduler involved."""
+no scheduler involved.
+
+RingCore is also the rotation skeleton every other core extends, so the
+tests of what the skeleton owns (hold and timed service, waking a parked
+holder, the park timer) take the core class as the ``core_cls`` fixture,
+and :class:`TestEveryCore` re-runs them on every other core the cluster
+factory builds."""
 
 import pytest
 
+from repro.core.cluster import _registry
 from repro.core.config import ProtocolConfig
 from repro.core.effects import CancelTimer, Deliver, Send, SetTimer
+from repro.core.hybrid import HybridCore
 from repro.core.messages import TokenMsg
+from repro.core.push import PushCore
 from repro.core.ring import RingCore
 from repro.errors import ProtocolError
 
@@ -20,6 +29,12 @@ def kinds(effects):
 
 def sends(effects):
     return [e for e in effects if isinstance(e, Send)]
+
+
+@pytest.fixture
+def core_cls():
+    """The core under test: the ring, unless a class overrides it."""
+    return RingCore
 
 
 class TestRotation:
@@ -76,8 +91,8 @@ class TestRequests:
         assert grants == [Deliver("granted", (1, 1))]
         assert not core.ready
 
-    def test_request_while_holding_serves_immediately(self):
-        core = RingCore(0, cfg(idle_pause=5.0))
+    def test_request_while_holding_serves_immediately(self, core_cls):
+        core = core_cls(0, cfg(idle_pause=5.0))
         effects = core.on_start(0.0)
         assert any(isinstance(e, SetTimer) for e in effects)  # parked
         effects = core.on_request(1.0)
@@ -99,8 +114,8 @@ class TestRequests:
 
 
 class TestHoldAndService:
-    def test_hold_until_release_blocks_forwarding(self):
-        core = RingCore(1, cfg(hold_until_release=True))
+    def test_hold_until_release_blocks_forwarding(self, core_cls):
+        core = core_cls(1, cfg(hold_until_release=True))
         core.on_request(0.0)
         effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
         assert sends(effects) == []  # token held
@@ -109,12 +124,12 @@ class TestHoldAndService:
         assert any(isinstance(e, Deliver) and e.kind == "released"
                    for e in released)
 
-    def test_release_without_grant_is_noop(self):
-        core = RingCore(1, cfg(hold_until_release=True))
+    def test_release_without_grant_is_noop(self, core_cls):
+        core = core_cls(1, cfg(hold_until_release=True))
         assert core.on_release(0.0) == []
 
-    def test_service_time_uses_timer(self):
-        core = RingCore(1, cfg(service_time=3.0))
+    def test_service_time_uses_timer(self, core_cls):
+        core = core_cls(1, cfg(service_time=3.0))
         core.on_request(0.0)
         effects = core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
         timers = [e for e in effects if isinstance(e, SetTimer)]
@@ -131,8 +146,8 @@ class TestAdaptiveSpeed:
         timers = [e for e in effects if isinstance(e, SetTimer)]
         assert timers[0].delay == 4.0
 
-    def test_park_timer_forwards(self):
-        core = RingCore(1, cfg(idle_pause=4.0))
+    def test_park_timer_forwards(self, core_cls):
+        core = core_cls(1, cfg(idle_pause=4.0))
         core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
         effects = core.on_timer("forward", 5.0)
         assert sends(effects)[0].dst == 2
@@ -146,3 +161,32 @@ class TestAdaptiveSpeed:
         core = RingCore(1, cfg())
         with pytest.raises(ProtocolError):
             core.on_message(0, "garbage", 0.0)
+
+
+#: A parked push or hybrid holder is the virtual root: with no demand its
+#: park timer re-arms instead of forwarding.
+ROOTS = (PushCore, HybridCore)
+
+
+class TestEveryCore(TestHoldAndService):
+    """The skeleton's behaviours on every core the factory builds besides
+    the ring (which the classes above cover)."""
+
+    @pytest.fixture(params=[cls for cls in _registry().values()
+                            if cls is not RingCore],
+                    ids=lambda cls: cls.protocol_name)
+    def core_cls(self, request):
+        return request.param
+
+    def test_request_while_holding_serves_immediately(self, core_cls):
+        TestRequests().test_request_while_holding_serves_immediately(core_cls)
+
+    def test_park_timer_forwards(self, core_cls):
+        if core_cls not in ROOTS:
+            TestAdaptiveSpeed().test_park_timer_forwards(core_cls)
+            return
+        core = core_cls(1, cfg(idle_pause=4.0))
+        core.on_message(0, TokenMsg(clock=1, round_no=0), 1.0)
+        effects = core.on_timer("forward", 5.0)
+        assert effects == [SetTimer("forward", 4.0)]
+        assert core.has_token and core._parked
